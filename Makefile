@@ -10,10 +10,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: check lint typecheck test baseline catalog catalog-check \
 	waitgraph waitgraph-check interference interference-check \
 	observe bench-json chaos profile phasecost phasecost-check \
-	sweep sweep-smoke
+	sweep sweep-smoke bench-figures
 
 check: lint typecheck catalog-check waitgraph-check interference-check \
-	phasecost-check test chaos
+	phasecost-check test chaos bench-figures
 
 lint:
 	$(PYTHON) -m repro.lint src/repro
@@ -27,6 +27,12 @@ typecheck:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The paper-figure and perf benchmarks under benchmarks/ (Figures 1-16,
+# ablations, perf tables): the reproduction's headline results, asserted
+# and written to benchmarks/output/.  Outside pytest's default testpaths.
+bench-figures:
+	$(PYTHON) -m pytest benchmarks -q
 
 # Chaos campaign matrix: every named fault campaign against every
 # registered technique, driven through the resilient client edge, with

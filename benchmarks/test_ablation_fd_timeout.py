@@ -26,9 +26,13 @@ def run_one(protocol, fd_timeout, seed=31):
         fd_interval=1.0, fd_timeout=fd_timeout, client_timeout=60.0,
     )
 
+    results = []
+
     def loop():
         for _ in range(10):
-            yield system.client(0).submit([Operation.update("x", "add", 1)])
+            results.append(
+                (yield system.client(0).submit([Operation.update("x", "add", 1)]))
+            )
             yield system.sim.timeout(12.0)
 
     handle = system.sim.spawn(loop())
@@ -50,7 +54,7 @@ def run_one(protocol, fd_timeout, seed=31):
             for n in system.replica_names
         )
         reconfig_cost = max(0, executed - 10)
-    committed = sum(1 for r in system.client(0).results if r.committed)
+    committed = sum(1 for r in results if r.committed)
     value = max(
         system.store_of(n).read("x") or 0 for n in system.live_replicas()
     )

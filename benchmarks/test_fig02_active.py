@@ -25,7 +25,9 @@ def test_fig02_active_replication(once):
     assert system.tracer.mechanisms_used(result.request_id)[SC] == "abcast"
     assert system.converged(values_only=False)
     # All replicas answered; the client kept exactly one response.
-    assert len(system.client(0).results) == 1
+    assert system.net.stats.by_type["client.response"] == 3
+    assert system.observer.metrics.snapshot()["counters"]["requests.committed"] == 1
+    assert not system.client(0)._pending
 
     report(
         "fig02_active",

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from .system import ClientNode, ReplicatedSystem
+    from .system import ClientNode, ReplicatedSystem, _Pending
 
 __all__ = ["AdmissionConfig", "AdmissionController", "SHED_QUEUE_FULL",
            "SHED_DEADLINE", "SHED_DEADLINE_QUEUED"]
@@ -53,22 +53,23 @@ SHED_DEADLINE_QUEUED = "shed: deadline exceeded in admission queue"
 class AdmissionConfig:
     """Knobs for the system-edge admission policy.
 
-    ``rate`` is the sustained admission rate in requests per simulated
-    time unit; ``rate <= 0`` disables throttling (every arrival is
-    admitted immediately and the queue is never used).  ``burst`` is the
-    token-bucket capacity — how many arrivals may pass back-to-back
-    after an idle period.  ``queue_capacity`` bounds the leveling queue;
-    arrivals beyond it are shed.  ``shed_on_deadline`` refuses arrivals
-    whose deadline already passed and drops queued entries whose
-    deadline expires while they wait.
+    ``rate`` (required, > 0) is the sustained admission rate in requests
+    per simulated time unit.  ``burst`` is the token-bucket capacity —
+    how many arrivals may pass back-to-back after an idle period.
+    ``queue_capacity`` bounds the leveling queue; arrivals beyond it are
+    shed.  Arrivals whose deadline already passed are always refused,
+    and queued entries whose deadline expires while they wait are shed
+    at drain time.  To leave submits ungated, build the system without
+    an admission config.
     """
 
-    rate: float = 0.0
+    rate: float
     burst: float = 8.0
     queue_capacity: int = 1024
-    shed_on_deadline: bool = True
 
     def __post_init__(self) -> None:
+        if not self.rate > 0:
+            raise ValueError("rate must be > 0")
         if self.burst < 1:
             raise ValueError("burst must be >= 1 token")
         if self.queue_capacity < 0:
@@ -91,7 +92,7 @@ class AdmissionController:
         self.admitted = 0
         self.shed = 0
         self.shed_by_reason: Dict[str, int] = {}
-        self._queue: Deque[Tuple["ClientNode", dict]] = deque()
+        self._queue: Deque[Tuple["ClientNode", "_Pending"]] = deque()
         self._tokens = float(config.burst)
         self._refilled_at = system.sim.now
         self._drain_timer = None
@@ -103,29 +104,21 @@ class AdmissionController:
         """Arrivals currently waiting in the leveling queue."""
         return len(self._queue)
 
-    def submit(self, client: "ClientNode", entry: dict) -> None:
+    def submit(self, client: "ClientNode", record: "_Pending") -> None:
         """Offer one arrival; admit, enqueue or shed it."""
         self.offered += 1
         self._observe("ts.offered")
-        deadline = entry.get("deadline")
-        if (
-            self.config.shed_on_deadline
-            and deadline is not None
-            and self.system.sim.now > deadline
-        ):
-            self._shed(client, entry, SHED_DEADLINE)
-            return
-        if self.config.rate <= 0:
-            self._admit(client, entry, consume=False)
+        if self._expired(record):
+            self._shed(client, record, SHED_DEADLINE)
             return
         self._refill()
         if not self._queue and self._tokens >= 1.0 - _TOKEN_EPS:
-            self._admit(client, entry, consume=True)
+            self._admit(client, record)
             return
         if len(self._queue) >= self.config.queue_capacity:
-            self._shed(client, entry, SHED_QUEUE_FULL)
+            self._shed(client, record, SHED_QUEUE_FULL)
             return
-        self._queue.append((client, entry))
+        self._queue.append((client, record))
         self._schedule_drain()
 
     def snapshot(self) -> Dict[str, int]:
@@ -148,18 +141,20 @@ class AdmissionController:
             )
         self._refilled_at = now
 
-    def _admit(self, client: "ClientNode", entry: dict, consume: bool) -> None:
-        if consume:
-            self._tokens = max(0.0, self._tokens - 1.0)
+    def _expired(self, record: "_Pending") -> bool:
+        return record.deadline is not None and self.system.sim.now > record.deadline
+
+    def _admit(self, client: "ClientNode", record: "_Pending") -> None:
+        self._tokens = max(0.0, self._tokens - 1.0)
         self.admitted += 1
         self._observe("ts.admitted")
-        client._dispatch(entry)
+        client._start(record)
 
-    def _shed(self, client: "ClientNode", entry: dict, reason: str) -> None:
+    def _shed(self, client: "ClientNode", record: "_Pending", reason: str) -> None:
         self.shed += 1
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
         self._observe("ts.shed")
-        client._shed(entry, reason)
+        client._finish(record, reason)
 
     def _schedule_drain(self) -> None:
         if self._drain_timer is not None or not self._queue:
@@ -173,19 +168,13 @@ class AdmissionController:
     def _drain(self) -> None:
         self._drain_timer = None
         self._refill()
-        now = self.system.sim.now
         while self._queue and self._tokens >= 1.0 - _TOKEN_EPS:
-            client, entry = self._queue.popleft()
-            deadline = entry.get("deadline")
-            if (
-                self.config.shed_on_deadline
-                and deadline is not None
-                and now > deadline
-            ):
+            client, record = self._queue.popleft()
+            if self._expired(record):
                 # Expired while waiting; sheds don't consume a token.
-                self._shed(client, entry, SHED_DEADLINE_QUEUED)
+                self._shed(client, record, SHED_DEADLINE_QUEUED)
                 continue
-            self._admit(client, entry, consume=True)
+            self._admit(client, record)
         self._schedule_drain()
 
     def _observe(self, series: str) -> None:

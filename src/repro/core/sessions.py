@@ -23,7 +23,6 @@ figures show the loop: ``eager_primary`` and ``eager_ue_locking``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from ..errors import TransactionAborted
@@ -50,13 +49,10 @@ class TransactionSession:
         self.client = client
         self.server = server
         self.timeout = timeout
-        # The id counter lives on the client, not the module: ids restart
-        # at 1 for every fresh system, keeping same-seed runs identical.
-        counter = getattr(client, "_session_ids", None)
-        if counter is None:
-            counter = itertools.count(1)
-            client._session_ids = counter
-        self.session_id = f"{client.name}-s{next(counter)}"
+        # The id counter lives on the client edge, not the module: ids
+        # restart at 1 for every fresh system, keeping same-seed runs
+        # identical.
+        self.session_id = f"{client.name}-s{next(client.session_ids)}"
         self.active = False
         self.failed_reason: Optional[str] = None
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..db import TransactionManager
@@ -161,11 +162,30 @@ class ReplicaNode:
         return f"<ReplicaNode {self.name} {'crashed' if self.crashed else 'up'}>"
 
 
-class ClientNode:
-    """A client of the replicated service.
+class _Pending:
+    """One outstanding request at a client edge, keyed by request id."""
 
-    ``submit`` returns a future resolving to a :class:`Result`.  Routing
-    follows the protocol's client policy:
+    __slots__ = ("request", "future", "submitted_at", "deadline", "retries",
+                 "timer", "targets", "reply")
+
+    def __init__(self, request: Request, future: Future, submitted_at: float,
+                 deadline: Optional[float]) -> None:
+        self.request = request
+        self.future = future
+        self.submitted_at = submitted_at
+        self.deadline = deadline
+        self.retries = 0
+        self.timer = None
+        self.targets: List[str] = []
+        self.reply: Optional[Future] = None  # per-attempt reply (ResilientClient)
+
+
+class ClientNode:
+    """A client of the replicated service: the system's one client edge.
+
+    It owns the paper's Request (RE) and Response (END) phases.  ``submit``
+    returns a future resolving to a :class:`Result`.  Routing follows the
+    protocol's client policy:
 
     * ``"all"`` — send to every replica, keep the first response (the
       distributed-systems style; masks replica failures entirely).
@@ -174,6 +194,12 @@ class ClientNode:
       visible as latency).
     * ``"local"`` — stick to one home replica; on timeout, reconnect to the
       next live replica and re-submit, as Section 4.1 describes.
+
+    The retry behaviour here is the paper's blocking client: it re-submits
+    only when its server failed.  :class:`repro.resilience.ResilientClient`
+    reuses this request path and swaps in backoff, a deadline budget and
+    circuit breakers by overriding :meth:`_start`, :meth:`_targets` and
+    :meth:`_on_reply`.
     """
 
     def __init__(
@@ -191,9 +217,11 @@ class ClientNode:
         self.timeout = timeout
         self.node = Node(system.sim, system.net, name)
         self.node.on(CLIENT_RESPONSE, self._on_response)
-        self._pending: Dict[str, dict] = {}
+        self._pending: Dict[str, _Pending] = {}
         self._sequence = itertools.count(1)
-        self.results: List[Result] = []
+        # Interactive sessions draw their ids here, so ids restart at 1 for
+        # every fresh system and same-seed runs stay identical.
+        self.session_ids = itertools.count(1)
 
     # -- public API -----------------------------------------------------------
 
@@ -214,23 +242,17 @@ class ClientNode:
         request = Request.make(
             tuple(operations), client=self.name, sequence=next(self._sequence)
         )
-        future = self.system.sim.future(label=f"result:{request.request_id}")
-        entry = {
-            "request": request,
-            "future": future,
-            "submitted_at": self.system.sim.now,
-            "retries": 0,
-            "timer": None,
-            "deadline": deadline,
-        }
-        self._pending[request.request_id] = entry
+        sim = self.system.sim
+        record = _Pending(request, sim.future(label=f"result:{request.request_id}"),
+                          sim.now, deadline)
+        self._pending[request.request_id] = record
         if self.system.observer is not None:
             self.system.observer.on_request_submit(request.request_id, self.name)
         if self.system.admission is not None:
-            self.system.admission.submit(self, entry)
+            self.system.admission.submit(self, record)
         else:
-            self._dispatch(entry)
-        return future
+            self._start(record)
+        return record.future
 
     def session(self, server: Optional[str] = None) -> TransactionSession:
         """Open an interactive transaction session (Section 5).
@@ -252,61 +274,45 @@ class ClientNode:
             )
         return TransactionSession(self, server)
 
-    # -- routing ----------------------------------------------------------------
+    # -- request path -----------------------------------------------------------
 
-    def _targets(self, entry: dict) -> List[str]:
+    def _start(self, record: _Pending) -> None:
+        """Serve an admitted request: one attempt, re-armed by the timeout."""
+        record.targets = self._targets(record)
+        self._send(record, record.targets)
+        if self.timeout is not None:
+            record.timer = self.node.after(
+                self.timeout, self._on_timeout, record.request.request_id
+            )
+
+    def _targets(self, record: _Pending) -> List[str]:
         if self.policy == "all":
             return list(self.system.replica_names)
         if self.policy == "primary":
-            if entry["request"].read_only and self.system.info.reads_anywhere:
+            if record.request.read_only and self.system.info.reads_anywhere:
                 return [self.home]
             return [self.system.directory.primary]
         return [self.home]
 
-    def _dispatch(self, entry: dict) -> None:
-        request = entry["request"]
-        targets = self._targets(entry)
-        entry["last_targets"] = targets
-        deadline = entry.get("deadline")
+    def _send(self, record: _Pending, targets: List[str]) -> None:
+        request = record.request
         observer = self.system.observer
-        if observer is not None:
-            # Dispatch inside the root span's context so the outgoing
-            # client.request flights become its children.
-            with observer.request_context(request.request_id):
-                self._send_request(targets, request, deadline=deadline)
-        else:
-            self._send_request(targets, request, deadline=deadline)
-        if self.timeout is not None:
-            entry["timer"] = self.node.after(self.timeout, self._on_timeout, request.request_id)
-
-    def _send_request(self, targets: List[str], request: Request,
-                      deadline: Optional[float] = None) -> None:
-        for target in targets:
-            if deadline is None:
-                self.node.send(target, CLIENT_REQUEST, request=request.as_wire())
-            else:
+        # Send inside the root span's context so the outgoing
+        # client.request flights become its children.
+        with (observer.request_context(request.request_id)
+              if observer is not None else nullcontext()):
+            for target in targets:
                 # Deadlines ride the envelope, not the payload, so replicas
                 # can shed expired work without parsing the request.
                 self.system.net.send(
-                    self.name,
-                    target,
-                    CLIENT_REQUEST,
+                    self.name, target, CLIENT_REQUEST,
                     payload={"request": request.as_wire()},
-                    deadline=deadline,
+                    deadline=record.deadline,
                 )
 
-    def _shed(self, entry: dict, reason: str) -> None:
-        """Refuse an arrival at the admission edge; resolves its future."""
-        self._pending.pop(entry["request"].request_id, None)
-        if entry["timer"] is not None:
-            entry["timer"].cancel()
-        result = self._finish(entry, committed=False, values=[],
-                              reason=reason, server="")
-        entry["future"].set_result(result)
-
     def _on_timeout(self, request_id: str) -> None:
-        entry = self._pending.get(request_id)
-        if entry is None:
+        record = self._pending.get(request_id)
+        if record is None:
             return
         # A client can tell a dead server from a slow one (its connection
         # breaks), so re-submission — which risks executing the request
@@ -315,22 +321,18 @@ class ClientNode:
         # (lock queues, blocking 2PC) keeps the client waiting: the
         # blocking behaviour the paper says databases accept.
         if self.policy != "all":
-            target = entry.get("last_targets", [None])[0]
+            target = record.targets[0] if record.targets else None
             target_alive = (
                 target is not None and not self.system.replicas[target].crashed
             )
-            current_target = self._targets(entry)[0]
-            if target_alive and current_target == target:
-                entry["timer"] = self.node.after(
+            if target_alive and self._targets(record)[0] == target:
+                record.timer = self.node.after(
                     self.timeout, self._on_timeout, request_id
                 )
                 return
-        entry["retries"] += 1
-        if entry["retries"] > self.system.max_client_retries:
-            self._pending.pop(request_id, None)
-            result = self._finish(entry, committed=False, values=[],
-                                  reason="client gave up", server="")
-            entry["future"].set_result(result)
+        record.retries += 1
+        if record.retries > self.system.max_client_retries:
+            self._finish(record, "client gave up")
             return
         if self.system.observer is not None:
             self.system.observer.metrics.inc("requests.resubmitted")
@@ -338,44 +340,51 @@ class ClientNode:
         # clients fail over to the next live replica.
         if self.policy == "local" and self.system.replicas[self.home].crashed:
             self.home = self.system.next_live_replica(self.home)
-        self._dispatch(entry)
+        self._start(record)
 
     def _on_response(self, message: Message) -> None:
-        entry = self._pending.pop(message["request_id"], None)
-        if entry is None:
+        record = self._pending.get(message["request_id"])
+        if record is None:
             return  # duplicate response (e.g. active replication's n replies)
-        if entry["timer"] is not None:
-            entry["timer"].cancel()
-        result = self._finish(
-            entry,
-            committed=message["committed"],
-            values=message["values"],
-            reason=message["reason"],
-            server=message["server"],
-        )
-        entry["future"].set_result(result)
+        self._on_reply(record, {
+            "committed": message["committed"],
+            "values": message["values"],
+            "reason": message["reason"],
+            "server": message["server"],
+        })
 
-    def _finish(self, entry: dict, committed, values, reason, server) -> Result:
+    def _on_reply(self, record: _Pending, reply: Dict[str, Any]) -> None:
+        """The first reply settles the request."""
+        self._finish(record, **reply)
+
+    def _finish(self, record: _Pending, reason: str, committed: bool = False,
+                values: Iterable[Any] = (), server: str = "") -> Result:
+        """Settle a request: build its Result and resolve its future."""
+        request = record.request
+        self._pending.pop(request.request_id, None)
+        if record.timer is not None:
+            record.timer.cancel()
         result = Result(
-            request_id=entry["request"].request_id,
+            request_id=request.request_id,
             committed=committed,
-            values=values,
+            values=list(values),
             reason=reason,
-            submitted_at=entry["submitted_at"],
+            submitted_at=record.submitted_at,
             completed_at=self.system.sim.now,
             server=server,
-            retries=entry["retries"],
-            operations=entry["request"].operations,
+            retries=record.retries,
+            operations=request.operations,
         )
-        self.results.append(result)
         if self.system.observer is not None:
             self.system.observer.on_request_complete(
                 result.request_id, committed, reason=reason, retries=result.retries
             )
+        record.future.set_result(result)
         return result
 
     def __repr__(self) -> str:
-        return f"<ClientNode {self.name} policy={self.policy} home={self.home}>"
+        return (f"<{type(self).__name__} {self.name} policy={self.policy} "
+                f"home={self.home}>")
 
 
 class ReplicatedSystem:
@@ -457,7 +466,6 @@ class ReplicatedSystem:
             self.sim,
             latency=latency if latency is not None else ConstantLatency(1.0),
             loss_rate=loss_rate,
-            trace=None,
             obs=self.observer,
         )
         self.injector = FailureInjector(self.sim, self.net, trace=self.trace)

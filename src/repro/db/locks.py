@@ -57,7 +57,9 @@ class LockManager:
         self.obs = obs  # optional duck-typed observer (repro.obs)
         self._holders: Dict[str, Dict[object, str]] = {}
         self._queues: Dict[str, List[_Request]] = {}
-        self._held_by_txn: Dict[object, Set[str]] = {}
+        # Insertion-ordered sets (dict keys): release_all wakes waiters in
+        # this order, which must not depend on string hashing.
+        self._held_by_txn: Dict[object, Dict[str, None]] = {}
         self._ages: Dict[object, int] = {}
         self._grant_times: Dict[Tuple[object, str], float] = {}
         self._arrivals = itertools.count(1)
@@ -121,7 +123,7 @@ class LockManager:
         holders = self._holders.setdefault(item, {})
         current = holders.get(txn)
         holders[txn] = WRITE if WRITE in (current, mode) else READ
-        self._held_by_txn.setdefault(txn, set()).add(item)
+        self._held_by_txn.setdefault(txn, {})[item] = None
         if self.obs is not None:
             self._grant_times.setdefault((txn, item), self.sim.now)
 
@@ -129,7 +131,7 @@ class LockManager:
 
     def release_all(self, txn: object) -> None:
         """Release every lock held or requested by ``txn`` (strict 2PL)."""
-        for item in self._held_by_txn.pop(txn, set()):
+        for item in self._held_by_txn.pop(txn, {}):
             holders = self._holders.get(item, {})
             holders.pop(txn, None)
             if not holders:
@@ -269,23 +271,25 @@ class LockManager:
 
         return dfs(start)
 
-    def _wait_for_graph(self) -> Dict[object, Set[object]]:
-        graph: Dict[object, Set[object]] = {}
+    def _wait_for_graph(self) -> Dict[object, Dict[object, None]]:
+        # Edge sets are dict keys so the cycle search visits them in a
+        # hash-independent order.
+        graph: Dict[object, Dict[object, None]] = {}
         for item, queue in self._queues.items():
             holders = self._holders.get(item, {})
             ahead: List[_Request] = []
             for request in queue:
-                edges = graph.setdefault(request.txn, set())
+                edges = graph.setdefault(request.txn, {})
                 for holder, mode in holders.items():
                     if holder != request.txn and (
                         request.mode == WRITE or mode == WRITE
                     ):
-                        edges.add(holder)
+                        edges[holder] = None
                 for earlier in ahead:
                     if earlier.txn != request.txn and (
                         request.mode == WRITE or earlier.mode == WRITE
                     ):
-                        edges.add(earlier.txn)
+                        edges[earlier.txn] = None
                 ahead.append(request)
         return graph
 

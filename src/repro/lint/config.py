@@ -146,8 +146,10 @@ SEND_METHODS = {
 CALL_CONTROL_KWARGS = frozenset({"timeout"})
 
 # A ``.send`` carrying one of these kwargs is the raw ``Network.send``
-# (src/dst routing layer), not a protocol message construction site; the
-# same goes for a receiver literally named ``network``.
+# (src/dst routing layer), not a protocol message construction site —
+# unless its payload is a dict literal (``payload={"k": ...}``), which the
+# client edge uses to put a deadline on the envelope.  A receiver literally
+# named ``network`` is always the routing layer.
 NETWORK_SEND_KWARGS = frozenset({"payload", "reply_to"})
 NETWORK_RECEIVER_NAMES = frozenset({"network"})
 

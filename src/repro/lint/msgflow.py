@@ -228,6 +228,16 @@ def _payload_kwargs(call: ast.Call, drop: FrozenSet[str]) -> Tuple[Tuple[str, ..
     return tuple(keys), is_open
 
 
+def _literal_payload(call: ast.Call) -> Optional[Tuple[Tuple[str, ...], bool]]:
+    """Keys of a ``payload={...}`` dict literal, or None if there is none."""
+    for keyword in call.keywords:
+        if keyword.arg == "payload" and isinstance(keyword.value, ast.Dict):
+            keys = [k.value for k in keyword.value.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)]
+            return tuple(keys), len(keys) != len(keyword.value.keys)
+    return None
+
+
 def _callback_params(func: FuncNode, is_method: bool) -> List[str]:
     params = [a.arg for a in func.args.args]
     if is_method and params and params[0] == "self":
@@ -424,9 +434,18 @@ class _Extractor:
             return  # raw Network.send: the routing layer under Node
         kwarg_names = {k.arg for k in call.keywords if k.arg}
         if attr == "send" and kwarg_names & NETWORK_SEND_KWARGS:
-            return  # Node/Network boundary call, not a protocol send
-        drop = CALL_CONTROL_KWARGS if attr == "call" else frozenset()
-        keys, is_open = _payload_kwargs(call, drop)
+            # Raw Network.send(src, dst, MTYPE, payload={...}) above the
+            # routing layer (the client edge stamping a deadline on the
+            # envelope) constructs a message; anything else is the
+            # Node/Network boundary, not a protocol send.
+            literal = _literal_payload(call)
+            if literal is None or len(call.args) <= 2:
+                return
+            type_index = 2
+            keys, is_open = literal
+        else:
+            drop = CALL_CONTROL_KWARGS if attr == "call" else frozenset()
+            keys, is_open = _payload_kwargs(call, drop)
         patterns = evaluate(call.args[type_index], self._scope(cls, func))
         self.graph.sends.append(SendSite(
             self.ctx.path, call,

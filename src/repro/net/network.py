@@ -26,7 +26,7 @@ from collections import Counter
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, TYPE_CHECKING
 
 from ..errors import NetworkError, SimulationError
-from ..sim import Simulator, TraceLog
+from ..sim import Simulator
 from .latency import ConstantLatency, LatencyModel
 from .message import Message
 
@@ -155,8 +155,6 @@ class Network:
     fifo:
         When true (default), each directed link is FIFO: a message can
         never overtake an earlier message on the same link.
-    trace:
-        Optional :class:`TraceLog` receiving a ``message`` event per send.
     obs:
         Optional observer (duck-typed, see :mod:`repro.obs`): opens a
         flight span per send and closes it at delivery or drop.  The
@@ -170,7 +168,6 @@ class Network:
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
         fifo: bool = True,
-        trace: Optional[TraceLog] = None,
         obs: Optional[Any] = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
@@ -179,7 +176,6 @@ class Network:
         self.latency = latency if latency is not None else ConstantLatency(1.0)
         self.loss_rate = loss_rate
         self.fifo = fifo
-        self.trace = trace
         self.obs = obs
         self.stats = NetworkStats()
         self._nodes: Dict[str, "Node"] = {}
@@ -339,8 +335,6 @@ class Network:
         message.deadline = deadline
         self.stats.sent += 1
         self.stats.by_type[type] += 1
-        if self.trace is not None:
-            self.trace.record("message", src, dst=dst, type=type, msg_id=message.msg_id)
         if self.obs is not None:
             self.obs.on_message_send(message)
         self._route(message)

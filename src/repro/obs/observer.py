@@ -307,7 +307,7 @@ class Observer:
 
     def _on_trace_event(self, event: Any) -> None:
         category = event.category
-        if category in ("phase", "message"):
+        if category == "phase":
             return  # natively instrumented as real spans
         if category in _GC_CATEGORIES:
             mtype = event.data.get("mtype", event.data.get("action", ""))

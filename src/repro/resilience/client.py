@@ -1,8 +1,8 @@
 """The resilient client edge.
 
-:class:`ResilientClient` is a production-style client stub layered over
-the same wire protocol as :class:`repro.core.system.ClientNode`, adding
-the robustness mechanics ROADMAP item 5 calls for:
+:class:`ResilientClient` is a production-style client stub: a
+:class:`repro.core.system.ClientNode` whose retry behaviour adds the
+robustness mechanics real client libraries have:
 
 * **retry with exponential backoff + jitter** — deterministic: all
   randomness draws from the client's named simulator stream, so same-seed
@@ -17,8 +17,8 @@ the robustness mechanics ROADMAP item 5 calls for:
   the committed answer instead of re-executing, making retries
   exactly-once even across a primary failover.
 
-Unlike ``ClientNode`` — which models the paper's blocking database client
-and waits forever for a slow server — the resilient edge retries through
+Unlike the base ``ClientNode`` — the paper's blocking database client,
+which waits forever for a slow server — the resilient edge retries through
 message loss, duplication and gray failure, and gives up definitively
 when its deadline budget is exhausted.
 
@@ -33,12 +33,10 @@ whose server-side effect the client cannot know.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from ..core.operations import Operation, Request, Result
-from ..core.protocols.base import CLIENT_REQUEST, CLIENT_RESPONSE
-from ..net import Message, Node
+from ..core.operations import Operation
+from ..core.system import ClientNode, _Pending
 from ..sim import Future
 from .breaker import CircuitBreaker
 from .retry import RetryPolicy
@@ -50,8 +48,13 @@ __all__ = ["ResilientClient"]
 _ROUTING_PREFIXES = ("not primary", "deadline exceeded")
 
 
-class ResilientClient:
+class ResilientClient(ClientNode):
     """Retrying, breaker-guarded, deadline-budgeted client edge.
+
+    Request creation, policy routing, the deadline-stamped send, reply
+    matching and :class:`~repro.core.operations.Result` construction are
+    :class:`~repro.core.system.ClientNode`'s; this class replaces only the
+    retry behaviour around them.
 
     Parameters
     ----------
@@ -87,12 +90,9 @@ class ResilientClient:
         breaker_threshold: int = 3,
         breaker_reset: float = 45.0,
     ) -> None:
-        self.system = system
-        self.name = name or f"rc{index}"
-        self.node = Node(system.sim, system.net, self.name)
-        self.node.on(CLIENT_RESPONSE, self._on_response)
-        self.policy = system.info.client_policy
-        self.home = system.replica_names[index % len(system.replica_names)]
+        replicas = system.replica_names
+        super().__init__(system, name or f"rc{index}", system.info.client_policy,
+                         replicas[index % len(replicas)], timeout=None)
         self.request_timeout = request_timeout
         self.deadline = deadline
         self.retry = retry if retry is not None else RetryPolicy()
@@ -107,46 +107,43 @@ class ResilientClient:
                 name=f"{self.name}->{replica}",
                 obs=system.observer,
             )
-            for replica in system.replica_names
+            for replica in replicas
         }
-        self._sequence = itertools.count(1)
-        self._inflight: Dict[str, Future] = {}
-        self.results: List[Result] = []
 
     # -- public API --------------------------------------------------------
 
-    def submit(self, operations: Union[Operation, Iterable[Operation]]) -> Future:
+    def submit(
+        self,
+        operations: Union[Operation, Iterable[Operation]],
+        deadline: Optional[float] = None,
+    ) -> Future:
         """Submit a request; returns a future resolving to a Result.
 
-        The future *always* resolves by ``deadline`` simulated time units:
-        with the committed reply, a definitive abort, or an indeterminate
-        ``"deadline exceeded"`` abort.
+        The future *always* resolves by the deadline budget (or the
+        earlier absolute ``deadline``): with the committed reply, a
+        definitive abort, or an indeterminate ``"deadline exceeded"`` abort.
         """
-        if isinstance(operations, Operation):
-            operations = [operations]
-        request = Request.make(
-            tuple(operations), client=self.name, sequence=next(self._sequence)
-        )
-        future = self.system.sim.future(label=f"rc-result:{request.request_id}")
-        if self.system.observer is not None:
-            self.system.observer.on_request_submit(request.request_id, self.name)
-        self.node.spawn(
-            self._drive(request, future), name=f"rc-drive-{request.request_id}"
-        )
-        return future
+        budget = self.system.sim.now + self.deadline
+        if deadline is None or deadline > budget:
+            deadline = budget
+        return super().submit(operations, deadline=deadline)
 
     # -- the retry loop ----------------------------------------------------
 
-    def _drive(self, request: Request, result_future: Future):
+    def _start(self, record: _Pending) -> None:
+        self.node.spawn(
+            self._drive(record), name=f"rc-drive-{record.request.request_id}"
+        )
+
+    def _drive(self, record: _Pending):
         sim = self.system.sim
-        rid = request.request_id
-        submitted_at = sim.now
-        give_up_at = submitted_at + self.deadline
+        rid = record.request.request_id
+        give_up_at = record.deadline
         observer = self.system.observer
         attempt = 0
-        reply = sim.future(label=f"rc-reply:{rid}")
-        self._inflight[rid] = reply
-        verdict: Optional[dict] = None
+        record.reply = sim.future(label=f"rc-reply:{rid}")
+        verdict: Optional[Dict[str, Any]] = None
+        reason = ""
         # Set once any attempt times out: from then on the request's
         # server-side fate is unknown (a silent attempt may still be
         # executing behind locks and commit later), so a definitive abort
@@ -156,14 +153,12 @@ class ResilientClient:
         while verdict is None:
             remaining = give_up_at - sim.now
             if remaining <= 0:
-                verdict = {"committed": False, "values": [],
-                           "reason": "deadline exceeded", "server": ""}
+                reason = "deadline exceeded"
                 break
             if attempt >= self.retry.max_attempts:
-                verdict = {"committed": False, "values": [],
-                           "reason": "retry budget exhausted", "server": ""}
+                reason = "retry budget exhausted"
                 break
-            targets = self._targets(request)
+            targets = self._targets(record)
             if not targets:
                 # Every candidate's breaker is open: wait out the shortest
                 # cool-down (bounded by the deadline) and re-evaluate.
@@ -171,17 +166,17 @@ class ResilientClient:
                 yield sim.timeout(pause)
                 continue
             attempt += 1
+            record.retries = attempt - 1
             if attempt > 1 and observer is not None:
                 observer.metrics.inc("resilience.retries")
-            self._send(targets, request, give_up_at)
+            self._send(record, targets)
             wait = min(self.request_timeout, remaining)
             index, value = yield sim.any_of(
-                [reply, sim.timeout(wait)], label=f"rc-wait:{rid}"
+                [record.reply, sim.timeout(wait)], label=f"rc-wait:{rid}"
             )
             if index == 0:
                 # Re-arm for a potential next attempt before classifying.
-                reply = sim.future(label=f"rc-reply:{rid}")
-                self._inflight[rid] = reply
+                record.reply = sim.future(label=f"rc-reply:{rid}")
                 breaker = self.breakers.get(value["server"])
                 if breaker is not None:
                     breaker.record_success()
@@ -212,54 +207,33 @@ class ResilientClient:
             backoff = self.retry.backoff(attempt, self.rng)
             yield sim.timeout(min(backoff, max(give_up_at - sim.now, 0.0)))
 
-        self._inflight.pop(rid, None)
-        result = Result(
-            request_id=rid,
-            committed=bool(verdict["committed"]),
-            values=list(verdict["values"]),
-            reason=verdict["reason"],
-            submitted_at=submitted_at,
-            completed_at=sim.now,
-            server=verdict["server"],
-            retries=max(attempt - 1, 0),
-            operations=request.operations,
-        )
-        self.results.append(result)
-        if observer is not None:
-            observer.on_request_complete(
-                rid, result.committed, reason=result.reason, retries=result.retries
-            )
-            if result.reason == "deadline exceeded":
-                observer.metrics.inc("resilience.deadline_exceeded")
-        result_future.set_result(result)
+        if verdict is not None:
+            super()._on_reply(record, verdict)
+            return
+        if reason == "deadline exceeded" and observer is not None:
+            observer.metrics.inc("resilience.deadline_exceeded")
+        self._finish(record, reason)
 
     # -- routing -----------------------------------------------------------
 
-    def _targets(self, request: Request) -> List[str]:
-        if self.policy == "all":
-            candidates = list(self.system.replica_names)
-        elif self.policy == "primary":
-            if request.read_only and self.system.info.reads_anywhere:
-                candidates = [self.home]
-            else:
-                candidates = [self.system.directory.primary]
-        else:
-            # Local policy: reconnect when the home replica is down — a
-            # crash (the connection breaks, per Section 4.1) or a tripped
-            # breaker (the edge has given up on a gray-failing home).  Any
-            # replica accepts updates under these techniques, so rotation
-            # is safe; the reconnect is sticky.
-            names = self.system.replica_names
-            start = names.index(self.home) if self.home in names else 0
-            for offset in range(len(names)):
-                candidate = names[(start + offset) % len(names)]
-                if self.system.replicas[candidate].crashed:
-                    continue
-                if self.breakers[candidate].allow():
-                    self.home = candidate
-                    return [candidate]
-            return []
-        return [t for t in candidates if self.breakers[t].allow()]
+    def _targets(self, record: _Pending) -> List[str]:
+        if self.policy != "local":
+            return [t for t in super()._targets(record) if self.breakers[t].allow()]
+        # Local policy: reconnect when the home replica is down — a crash
+        # (the connection breaks, per Section 4.1) or a tripped breaker
+        # (the edge has given up on a gray-failing home).  Any replica
+        # accepts updates under these techniques, so rotation is safe; the
+        # reconnect is sticky.
+        names = self.system.replica_names
+        start = names.index(self.home) if self.home in names else 0
+        for offset in range(len(names)):
+            candidate = names[(start + offset) % len(names)]
+            if self.system.replicas[candidate].crashed:
+                continue
+            if self.breakers[candidate].allow():
+                self.home = candidate
+                return [candidate]
+        return []
 
     def _shortest_reopen(self) -> float:
         waits = [b.reopens_in() for b in self.breakers.values()]
@@ -268,36 +242,10 @@ class ResilientClient:
     def _retryable(self, reason: str) -> bool:
         return any(reason.startswith(prefix) for prefix in _ROUTING_PREFIXES)
 
-    def _send(self, targets: List[str], request: Request, give_up_at: float) -> None:
-        observer = self.system.observer
-        if observer is not None:
-            with observer.request_context(request.request_id):
-                self._send_raw(targets, request, give_up_at)
-        else:
-            self._send_raw(targets, request, give_up_at)
-
-    def _send_raw(self, targets: List[str], request: Request, give_up_at: float) -> None:
-        for target in targets:
-            # Straight through the network layer so the deadline budget
-            # rides on the envelope (Node.send exposes payload kwargs only).
-            self.system.net.send(
-                self.name, target, CLIENT_REQUEST,
-                payload={"request": request.as_wire()},
-                deadline=give_up_at,
-            )
-
     # -- responses ---------------------------------------------------------
 
-    def _on_response(self, message: Message) -> None:
-        future = self._inflight.get(message["request_id"])
-        if future is None or future.done:
-            return  # late or duplicate reply; the request already settled
-        future.set_result({
-            "committed": message["committed"],
-            "values": list(message["values"]),
-            "reason": message["reason"],
-            "server": message["server"],
-        })
-
-    def __repr__(self) -> str:
-        return f"<ResilientClient {self.name} policy={self.policy} home={self.home}>"
+    def _on_reply(self, record: _Pending, reply: Dict[str, Any]) -> None:
+        """Wake the retry loop; it decides whether the reply settles."""
+        waiter = record.reply
+        if waiter is not None and not waiter.done:
+            waiter.set_result(reply)

@@ -28,6 +28,7 @@ from ..analysis.metrics import WorkloadSummary, summarize
 from ..core.admission import AdmissionConfig
 from ..core.operations import Result
 from ..core.system import ReplicatedSystem
+from ..sim import Future
 from .generator import WorkloadGenerator, WorkloadSpec
 
 __all__ = ["ArrivalSpec", "OpenLoopEngine", "run_openloop"]
@@ -102,26 +103,6 @@ class ArrivalSpec:
         return self.rate
 
 
-class _InFlight:
-    """One outstanding open-loop request: a future callback, not a process.
-
-    The per-client state a closed-loop driver keeps in a generator frame
-    (who submitted, when) fits in three slots here, which is what lets a
-    single run carry hundreds of thousands of logical clients.
-    """
-
-    __slots__ = ("engine", "client_id", "submitted_at")
-
-    def __init__(self, engine: "OpenLoopEngine", client_id: int,
-                 submitted_at: float) -> None:
-        self.engine = engine
-        self.client_id = client_id
-        self.submitted_at = submitted_at
-
-    def __call__(self, future) -> None:
-        self.engine._on_done(self, future.result)
-
-
 class OpenLoopEngine:
     """Submits an arrival process against a :class:`ReplicatedSystem`.
 
@@ -172,7 +153,6 @@ class OpenLoopEngine:
         deadline = None
         if self.arrival.deadline_budget is not None:
             deadline = sim.now + self.arrival.deadline_budget
-        record = _InFlight(self, client_id, sim.now)
         self.submitted += 1
         self.in_flight += 1
         if self.in_flight > self.max_in_flight:
@@ -180,7 +160,7 @@ class OpenLoopEngine:
         if self.system.admission is None:
             self._observe("ts.offered")
         future = edge.submit(self.generator.next_transaction(), deadline=deadline)
-        future.add_callback(record)
+        future.add_callback(self._on_done)
         elapsed = sim.now - self._started_at
         gap = self._next_gap()
         if elapsed + gap < self.arrival.duration:
@@ -200,8 +180,9 @@ class OpenLoopEngine:
         rate = max(rate, 1e-9)
         return self._gap_rng.expovariate(rate)
 
-    def _on_done(self, record: _InFlight, result: Result) -> None:
+    def _on_done(self, future: Future) -> None:
         self.in_flight -= 1
+        result = future.result
         if (result.reason or "").startswith("shed:"):
             self.shed_results.append(result)
         else:
@@ -209,14 +190,10 @@ class OpenLoopEngine:
         self._maybe_drained()
 
     def _maybe_drained(self) -> None:
+        # Queued arrivals hold unresolved futures, so nothing in flight
+        # also means the admission queue is empty.
         if self._arrivals_done and self.in_flight == 0:
-            queued = (
-                self.system.admission.queued
-                if self.system.admission is not None
-                else 0
-            )
-            if queued == 0:
-                self._drained.try_set_result(None)
+            self._drained.try_set_result(None)
 
     def _observe(self, series: str) -> None:
         observer = self.system.observer
@@ -226,13 +203,13 @@ class OpenLoopEngine:
     # -- accounting ------------------------------------------------------------
 
     def summary(self, duration: Optional[float] = None) -> WorkloadSummary:
-        """Aggregate served results with the edge's offered/shed counters."""
-        admission = self.system.admission
-        offered = admission.offered if admission is not None else self.submitted
-        shed = admission.shed if admission is not None else len(self.shed_results)
-        return summarize(
-            self.results, duration=duration, offered=offered, shed=shed
-        )
+        """Aggregate served results with the offered and shed counts.
+
+        Every arrival passes the admission edge once and every shed
+        resolves its future, so these equal the edge's own counters.
+        """
+        return summarize(self.results, duration=duration,
+                         offered=self.submitted, shed=len(self.shed_results))
 
     def stats(self) -> Dict[str, Any]:
         """Engine-side accounting next to the admission snapshot."""

@@ -90,9 +90,11 @@ def wire(monkeypatch):
     records = []
     original = Network.send
 
-    def recording_send(self, src, dst, type, payload=None, reply_to=None):
+    def recording_send(self, src, dst, type, payload=None, reply_to=None,
+                       deadline=None):
         records.append((type, dict(payload) if payload else {}))
-        return original(self, src, dst, type, payload=payload, reply_to=reply_to)
+        return original(self, src, dst, type, payload=payload,
+                        reply_to=reply_to, deadline=deadline)
 
     monkeypatch.setattr(Network, "send", recording_send)
     return records

@@ -10,7 +10,7 @@ from repro.net import (
     PerLinkLatency,
     UniformLatency,
 )
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -302,14 +302,6 @@ class TestPerLinkLatency:
         sim.run()
         assert sim.now == 20.0
         assert len(b.received) == 1 and len(c.received) == 1
-
-    def test_trace_records_messages(self, sim):
-        trace = TraceLog(sim)
-        net = Network(sim, latency=ConstantLatency(1.0), trace=trace)
-        a, b = Echo(sim, net, "a"), Echo(sim, net, "b")
-        a.send("b", "note")
-        sim.run()
-        assert trace.count("message") == 1
 
 
 class TestBroadcastIsolation:

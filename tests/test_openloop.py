@@ -144,6 +144,13 @@ class TestSameSeedByteIdentical:
 
 
 class TestAdmissionControl:
+    def test_rate_is_required_and_positive(self):
+        with pytest.raises(TypeError):
+            AdmissionConfig()
+        for rate in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                AdmissionConfig(rate=rate)
+
     def test_queue_full_sheds(self):
         system, engine, summary = run_openloop(
             "active",

@@ -30,10 +30,15 @@ class TestActive:
         assert all(system.store_of(n).read("x") == 10 for n in system.replica_names)
 
     def test_client_takes_first_of_n_responses(self):
-        system = ReplicatedSystem("active", replicas=3, seed=1)
+        system = ReplicatedSystem("active", replicas=3, seed=1, observe=True)
         result = system.execute([Operation.read("x")])
         assert result.committed
-        assert len(system.client(0).results) == 1, "duplicate responses must be ignored"
+        system.settle(100)  # let the other replicas' replies arrive
+        assert system.net.stats.by_type["client.response"] == 3
+        # Duplicate responses must be ignored: one completion, nothing left.
+        snapshot = system.observer.metrics.snapshot()["counters"]
+        assert snapshot["requests.committed"] == 1
+        assert not system.client(0)._pending
 
     def test_replica_crash_is_transparent(self):
         system = ReplicatedSystem("active", replicas=3, seed=2,
@@ -74,14 +79,16 @@ class TestActive:
 
     def test_linearizable_history(self):
         system = ReplicatedSystem("active", replicas=3, clients=2, seed=5)
+        results = []
         def client_loop(i):
             for _ in range(4):
-                yield system.client(i).submit([Operation.update("x", "add", 1)])
+                results.append(
+                    (yield system.client(i).submit([Operation.update("x", "add", 1)]))
+                )
                 yield system.sim.timeout(3.0)
         h1 = system.sim.spawn(client_loop(0))
         h2 = system.sim.spawn(client_loop(1))
         system.sim.run_until_done(system.sim.all_of([h1, h2]))
-        results = system.client(0).results + system.client(1).results
         history = history_from_results(results)
         assert check_linearizable(history, initial=None).ok
 

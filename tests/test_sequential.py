@@ -82,22 +82,24 @@ class TestLazyPrimaryIsSequentialNotLinearizable:
             "lazy_primary", replicas=2, clients=2, seed=3,
             config={"propagation_delay": 60.0},
         )
-        results = []
+        by_client = ([], [])
 
         def writer():
-            results.append((yield system.client(0).submit([Operation.write("x", "v1")])))
+            by_client[0].append(
+                (yield system.client(0).submit([Operation.write("x", "v1")])))
 
         def stale_reader():
             yield system.sim.timeout(20.0)  # well after the write completed
-            results.append((yield system.client(1).submit([Operation.read("x")])))
+            by_client[1].append(
+                (yield system.client(1).submit([Operation.read("x")])))
 
         handles = [system.sim.spawn(writer()), system.sim.spawn(stale_reader())]
         system.sim.run_until_done(system.sim.all_of(handles))
         invocations = []
-        for index, client in enumerate(system.clients):
-            for invocation in history_from_results(client.results, client=f"c{index}"):
+        for index, results in enumerate(by_client):
+            for invocation in history_from_results(results, client=f"c{index}"):
                 invocations.append(invocation)
-        return system, History(invocations), results
+        return system, History(invocations), by_client[0] + by_client[1]
 
     def test_reader_saw_stale_value(self):
         system, history, results = self.build_history()
@@ -111,20 +113,22 @@ class TestLazyPrimaryIsSequentialNotLinearizable:
 
     def test_eager_primary_same_scenario_is_linearizable(self):
         system = ReplicatedSystem("eager_primary", replicas=2, clients=2, seed=3)
-        results = []
+        by_client = ([], [])
 
         def writer():
-            results.append((yield system.client(0).submit([Operation.write("x", "v1")])))
+            by_client[0].append(
+                (yield system.client(0).submit([Operation.write("x", "v1")])))
 
         def reader():
             yield system.sim.timeout(20.0)
-            results.append((yield system.client(1).submit([Operation.read("x")])))
+            by_client[1].append(
+                (yield system.client(1).submit([Operation.read("x")])))
 
         handles = [system.sim.spawn(writer()), system.sim.spawn(reader())]
         system.sim.run_until_done(system.sim.all_of(handles))
         invocations = []
-        for index, client in enumerate(system.clients):
-            for invocation in history_from_results(client.results, client=f"c{index}"):
+        for index, results in enumerate(by_client):
+            for invocation in history_from_results(results, client=f"c{index}"):
                 invocations.append(invocation)
         assert check_linearizable(History(invocations), initial=None).ok
 

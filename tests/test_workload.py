@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ReplicatedSystem
 from repro.workload import ClosedLoopDriver, WorkloadGenerator, WorkloadSpec, run_workload
 
 
@@ -207,11 +208,24 @@ class TestDriver:
         # attempt's submission time, so its reported latency omitted every
         # earlier attempt and the think-time between them.
         spec = WorkloadSpec(items=1, read_fraction=0.0)
-        system, driver, summary = run_workload(
-            "certification", spec=spec, replicas=2, clients=3,
-            requests_per_client=4, seed=2, retry_aborts=True, settle=300.0,
+        system = ReplicatedSystem("certification", replicas=2, clients=3, seed=2)
+        # Each attempt's own Result, read from the futures submit returns.
+        raw = {}
+
+        def record(future):
+            raw[future.result.request_id] = future.result
+
+        for client in system.clients:
+            def submit(operations, deadline=None, _submit=client.submit):
+                future = _submit(operations, deadline=deadline)
+                future.add_callback(record)
+                return future
+            client.submit = submit
+        driver = ClosedLoopDriver(
+            system, WorkloadGenerator(spec, seed=2), requests_per_client=4,
+            retry_aborts=True,
         )
-        raw = {r.request_id: r for c in system.clients for r in c.results}
+        driver.run(settle=300.0)
         spanned = [
             r for r in driver.results
             if r.submitted_at < raw[r.request_id].submitted_at
