@@ -7,13 +7,10 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint typecheck test baseline catalog catalog-check \
-	waitgraph waitgraph-check interference interference-check \
-	observe bench-json chaos profile phasecost phasecost-check \
-	sweep sweep-smoke bench-figures
+.PHONY: check lint typecheck test baseline docs docs-check \
+	observe bench-json chaos profile sweep sweep-smoke bench-figures
 
-check: lint typecheck catalog-check waitgraph-check interference-check \
-	phasecost-check test chaos bench-figures
+check: lint typecheck docs-check test chaos bench-figures
 
 lint:
 	$(PYTHON) -m repro.lint src/repro
@@ -60,16 +57,6 @@ PROFILE_SEED ?= 7
 profile:
 	$(PYTHON) -m repro profile --all --seed $(PROFILE_SEED) --out $(PROFILE_OUT)
 
-# Regenerate the phase cost catalog (docs/phasecost.md + .json) — the
-# measured five-phase cost matrix for all ten techniques, from live
-# observed runs; `phasecost-check` fails when the checked-in copy is
-# stale.
-phasecost:
-	$(PYTHON) -m repro phasecost
-
-phasecost-check:
-	$(PYTHON) -m repro phasecost --check
-
 # Open-loop seed x rate x technique sweep fanned across CPU cores:
 # writes the merged byte-deterministic sweep.json plus the saturation
 # table (goodput and p99 vs offered load, knee marked) for all ten
@@ -89,32 +76,17 @@ sweep-smoke:
 bench-json:
 	$(PYTHON) benchmarks/perf_kernel.py --json BENCH_kernel.json --repeats 5
 
-# Regenerate the protocol message catalog (docs/messages.md + .json)
-# from the M4xx message-flow graph; `catalog-check` fails when the
-# checked-in copy is stale.
-catalog:
-	$(PYTHON) -m repro.lint src/repro --write-catalog docs/messages.md
+# Regenerate every generated file under docs/: the protocol message
+# catalog (M4xx message-flow graph), the wait graph with its
+# per-technique DOT files (W5xx), the interference catalog (R6xx
+# read/write sets) and the phase cost catalog (live observed runs of all
+# ten techniques).  One parse of src/repro feeds the three lint-derived
+# artifacts.  `docs-check` fails naming each missing or stale file.
+docs:
+	$(PYTHON) -m repro docs
 
-catalog-check:
-	$(PYTHON) -m repro.lint src/repro --check-catalog docs/messages.md
-
-# Regenerate the wait graph (docs/waitgraph.md + .json + per-technique
-# DOT files in docs/waitgraph/) from the W5xx wait-graph analysis;
-# `waitgraph-check` fails when the checked-in copies are stale.
-waitgraph:
-	$(PYTHON) -m repro.lint src/repro --write-waitgraph docs/waitgraph.md
-
-waitgraph-check:
-	$(PYTHON) -m repro.lint src/repro --check-waitgraph docs/waitgraph.md
-
-# Regenerate the interference catalog (docs/interference.md + .json) —
-# per-handler replica-state read/write sets and atomicity windows from
-# the R6xx analysis; `interference-check` fails when stale.
-interference:
-	$(PYTHON) -m repro.lint src/repro --write-interference docs/interference.md
-
-interference-check:
-	$(PYTHON) -m repro.lint src/repro --check-interference docs/interference.md
+docs-check:
+	$(PYTHON) -m repro docs --check
 
 # Grandfather the current findings (use sparingly; the tree ships clean).
 baseline:

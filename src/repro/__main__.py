@@ -27,10 +27,12 @@ Commands
     byte-deterministic ``profile_<tech>_seed<seed>.json`` plus a
     Perfetto-loadable counter track of the run's windowed time series;
     prints the phase cost matrix.  See docs/observability.md.
-``phasecost [--check] [--docs DIR]``
-    Regenerate (or, with ``--check``, verify the freshness of) the
-    committed phase cost catalog ``docs/phasecost.{md,json}`` covering
-    all ten techniques; ``make check`` runs the check form.
+``docs [--check] [--docs DIR]``
+    Regenerate every generated file under ``docs/`` — the message
+    catalog, the wait graph with its per-technique DOT files, the
+    interference catalog and the phase cost catalog — or, with
+    ``--check``, name each missing or stale one and exit 1.  Run from
+    the repository root; ``make docs`` / ``make docs-check`` wrap it.
 ``sweep [--smoke] [--technique NAME] [--seeds CSV] [--rates CSV] [--jobs N]``
     Fan the open-loop seed×rate×technique matrix across CPU cores,
     merge the per-cell rows into one byte-deterministic JSON and print
@@ -44,7 +46,10 @@ Commands
 from __future__ import annotations
 
 import argparse
+import glob
+import os
 import sys
+from typing import Dict
 
 from . import DB_TECHNIQUES, DS_TECHNIQUES, REGISTRY
 from .analysis import counter_check, messages_per_request
@@ -66,7 +71,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
 def cmd_figures(_args: argparse.Namespace) -> int:
     # Reuse the example script wholesale; it already renders everything.
     import importlib.util
-    import os
     path = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
                         "paper_figures.py")
     if not os.path.exists(path):
@@ -127,8 +131,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
-    import os
-
     from .obs import write_artifacts
 
     if args.technique not in REGISTRY:
@@ -155,8 +157,6 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import os
-
     from .resilience import CAMPAIGNS, run_matrix
 
     if args.list:
@@ -215,8 +215,6 @@ def _print_phase_table(profile: dict) -> None:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    import os
-
     from .obs import write_counter_track
     from .profiling import profile_run, write_profile
 
@@ -251,18 +249,93 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_phasecost(args: argparse.Namespace) -> int:
-    from .profiling import check_phasecost, write_phasecost
+def generated_docs() -> Dict[str, str]:
+    """Every generated file under ``docs/``, as docs-relative path -> content.
 
+    Parses ``src/repro`` once, relative to the working directory (the
+    catalog anchors read ``src/repro/...:line``), and builds the message,
+    wait-graph and interference artifacts from that one context list, so
+    the program index and the message and wait graphs are built once.
+    The phase cost catalog comes from live observed runs.
+    """
+    from .lint.engine import collect_files, parse_file
+    from .lint.interference import (
+        build_interference_artifact,
+        render_interference_json,
+        render_interference_markdown,
+    )
+    from .lint.msgflow import (
+        build_catalog,
+        render_catalog_json,
+        render_catalog_markdown,
+    )
+    from .lint.waitgraph import (
+        build_waitgraph_artifact,
+        render_waitgraph_dot,
+        render_waitgraph_json,
+        render_waitgraph_markdown,
+    )
+    from .profiling import catalog as phasecost
+
+    contexts = []
+    for path in collect_files(["src/repro"]):
+        context, error = parse_file(path)
+        if error is not None:
+            raise SyntaxError(error.render())
+        contexts.append(context)
+    messages = build_catalog(contexts)
+    waits = build_waitgraph_artifact(contexts)
+    interference = build_interference_artifact(contexts)
+    costs = phasecost.build_catalog()
+    docs = {
+        "messages.md": render_catalog_markdown(messages),
+        "messages.json": render_catalog_json(messages),
+        "waitgraph.md": render_waitgraph_markdown(waits),
+        "waitgraph.json": render_waitgraph_json(waits),
+        "interference.md": render_interference_markdown(interference),
+        "interference.json": render_interference_json(interference),
+        "phasecost.md": phasecost.render_catalog_markdown(costs),
+        "phasecost.json": phasecost.render_catalog_json(costs),
+    }
+    for technique in waits["techniques"]:
+        name = technique["technique"]
+        docs[f"waitgraph/{name}.dot"] = render_waitgraph_dot(waits, name)
+    return docs
+
+
+def cmd_docs(args: argparse.Namespace) -> int:
+    expected = {
+        os.path.join(args.docs, name): content
+        for name, content in generated_docs().items()
+    }
+    # Per-technique DOT files of techniques that no longer exist.
+    dot_dir = os.path.join(args.docs, "waitgraph")
+    orphans = sorted(set(glob.glob(os.path.join(dot_dir, "*.dot"))) - set(expected))
     if args.check:
-        problems = check_phasecost(args.docs)
+        problems = [f"{path}: not generated" for path in orphans]
+        for path, content in sorted(expected.items()):
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    current = handle.read()
+            except FileNotFoundError:
+                problems.append(f"{path}: missing")
+                continue
+            if current != content:
+                problems.append(f"{path}: out of date")
         for problem in problems:
             print(problem, file=sys.stderr)
-        if not problems:
-            print(f"phase cost catalog in {args.docs}/ is fresh")
-        return 1 if problems else 0
-    for path in write_phasecost(args.docs):
-        print(f"wrote {path}")
+        if problems:
+            print("regenerate with: make docs", file=sys.stderr)
+            return 1
+        print(f"{len(expected)} generated files in {args.docs}/ are fresh")
+        return 0
+    os.makedirs(dot_dir, exist_ok=True)
+    for path, content in expected.items():
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    for path in orphans:
+        os.remove(path)
+    print(f"wrote {len(expected)} generated files to {args.docs}/")
     return 0
 
 
@@ -357,11 +430,12 @@ def main(argv=None) -> int:
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--out", default="benchmarks/output/profile",
                     help="directory receiving profile and counter artifacts")
-    sp = sub.add_parser("phasecost", help="(re)generate docs/phasecost.{md,json}")
+    sp = sub.add_parser("docs", help="(re)generate every generated file "
+                                     "under docs/")
     sp.add_argument("--check", action="store_true",
-                    help="verify freshness instead of writing")
+                    help="name each missing or stale file instead of writing")
     sp.add_argument("--docs", default="docs",
-                    help="directory holding the committed catalog")
+                    help="directory holding the generated files")
     sp = sub.add_parser("sweep", help="open-loop seed x rate x technique sweep")
     sp.add_argument("--technique", action="append",
                     help="technique name (repeatable; default: all ten)")
@@ -389,7 +463,7 @@ def main(argv=None) -> int:
     return {"list": cmd_list, "figures": cmd_figures,
             "compare": cmd_compare, "run": cmd_run,
             "observe": cmd_observe, "chaos": cmd_chaos,
-            "profile": cmd_profile, "phasecost": cmd_phasecost,
+            "profile": cmd_profile, "docs": cmd_docs,
             "sweep": cmd_sweep}[args.command](args)
 
 

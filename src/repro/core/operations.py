@@ -23,7 +23,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Operation", "Request", "Result", "apply_update", "UPDATE_FUNCTIONS"]
+__all__ = [
+    "Operation", "Request", "Result", "INDETERMINATE_REASONS", "apply_update",
+    "UPDATE_FUNCTIONS",
+]
 
 # Fallback id source for ad-hoc Request.make() calls (tests, examples).
 # Simulation runs must pass an explicit ``sequence`` instead: a module
@@ -180,6 +183,14 @@ class Request:
             operations=tuple(Operation.from_wire(o) for o in data["operations"]),
             idem_key=data.get("idem_key"),
         )
+
+
+# Client-side aborts whose server-side effect is unknown: the request may
+# still commit after the client stopped waiting, so resubmitting it risks
+# executing it twice.  Every other abort is definitive (no effect).
+INDETERMINATE_REASONS = (
+    "deadline exceeded", "retry budget exhausted", "client gave up",
+)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 from ...db import TransactionManager, TransactionUpdates, UpdateRecord
 from ...db.storage import DataStore
 from ...errors import TransactionAborted
+from ...groupcomm import check_abcast_flavour
 from ...net import Message
 from ..operations import Operation, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseTracer
@@ -94,6 +95,10 @@ class ReplicaProtocol:
         self.replica = replica
         self.group = list(group)
         self.config = dict(config)
+        # Techniques pick their ABCAST from config["abcast"] with literal
+        # constructor calls; a misspelt flavour must not fall through to
+        # the default protocol.
+        check_abcast_flavour(self.config.get("abcast", "consensus"))
         # request_id -> admission time of the execution currently running
         # here.  Guards against a client retry re-entering handle_request
         # while the first execution is still in flight (which would start

@@ -32,10 +32,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Set, Tuple
 
-from ...db import TransactionUpdates, UpdateRecord
 from ...groupcomm import ConsensusAtomicBroadcast, SequencerAtomicBroadcast, View, ViewSyncGroup
 from ..operations import NON_DETERMINISTIC, Request, apply_update
 from ..phases import AC, END, EX, RE, SC, PhaseDescriptor, PhaseStep
+from .active import INJECT_FALLBACK
 from .base import ProtocolInfo, ReplicaProtocol
 
 __all__ = ["SemiActiveReplication"]
@@ -70,7 +70,6 @@ class SemiActiveReplication(ReplicaProtocol):
 
     def __init__(self, replica, group, config) -> None:
         super().__init__(replica, group, config)
-        self.fallback = float(config.get("inject_fallback", 30.0))
         flavour = config.get("abcast", "consensus")
         if flavour == "sequencer":
             self.abcast = SequencerAtomicBroadcast(
@@ -126,7 +125,7 @@ class SemiActiveReplication(ReplicaProtocol):
         if self._am_injector():
             self._inject(rid)
         else:
-            self.replica.node.after(self.fallback, self._inject_if_pending, rid)
+            self.replica.node.after(INJECT_FALLBACK, self._inject_if_pending, rid)
 
     def _am_injector(self) -> bool:
         for name in self.group:
@@ -175,7 +174,6 @@ class SemiActiveReplication(ReplicaProtocol):
     def _execute(self, request: Request, client: str):
         rid = request.request_id
         values = []
-        records = []
         # Phase recording follows Figure 4: an EX span opens each stretch
         # of execution, an AC record marks each leader choice, and the
         # EX/AC pair repeats per non-deterministic point.
@@ -197,8 +195,7 @@ class SemiActiveReplication(ReplicaProtocol):
                 new_value = apply_update(
                     op.func, self.store.read(op.item), op.argument, self.rng
                 )
-            version = self.store.write(op.item, new_value)
-            records.append(UpdateRecord(op.item, new_value, version))
+            self.store.write(op.item, new_value)
             values.append(None if op.kind == "write" else new_value)
         self.respond(client, request, committed=True, values=values)
         self._executor_busy = False
@@ -208,15 +205,16 @@ class SemiActiveReplication(ReplicaProtocol):
 
     def _resolve_choice(self, rid: str, op_index: int):
         key = (rid, op_index)
+        if key not in self._choices and self.is_leader:
+            self._publish_choice(key)
         if key not in self._choices:
-            if self.is_leader:
-                self._publish_choice(key)
-            else:
-                self._blocked_on = key
-                future = self.sim.future(label=f"choice:{key}")
-                self._choice_waiters[key] = future
-                yield future
-                self._blocked_on = None
+            # A follower, or a leader whose VSCAST is queued behind a view
+            # change: block until the choice is delivered.
+            self._blocked_on = key
+            future = self.sim.future(label=f"choice:{key}")
+            self._choice_waiters[key] = future
+            yield future
+            self._blocked_on = None
         self.phase(rid, AC, "vscast")
         return self._choices[key]
 

@@ -13,7 +13,11 @@ The stack, bottom-up:
   (the semi-passive replication engine).
 """
 
-from .abcast import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
+from .abcast import (
+    ConsensusAtomicBroadcast,
+    SequencerAtomicBroadcast,
+    check_abcast_flavour,
+)
 from .optimistic import OptimisticAtomicBroadcast
 from .causal import CausalBroadcast
 from .channels import ReliableTransport
@@ -35,6 +39,7 @@ __all__ = [
     "SequencerAtomicBroadcast",
     "ConsensusAtomicBroadcast",
     "OptimisticAtomicBroadcast",
+    "check_abcast_flavour",
     "View",
     "ViewSyncGroup",
 ]

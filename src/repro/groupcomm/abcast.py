@@ -28,7 +28,26 @@ from .channels import ReliableTransport
 from .consensus import Consensus
 from .rbcast import ReliableBroadcast
 
-__all__ = ["SequencerAtomicBroadcast", "ConsensusAtomicBroadcast"]
+__all__ = [
+    "ABCAST_FLAVOURS",
+    "SequencerAtomicBroadcast",
+    "ConsensusAtomicBroadcast",
+    "check_abcast_flavour",
+]
+
+# The ordering protocols a replica's ``config["abcast"]`` may select.
+ABCAST_FLAVOURS = ("consensus", "sequencer")
+
+
+def check_abcast_flavour(flavour: str) -> str:
+    """Return ``flavour`` if it names an ABCAST protocol; raise otherwise."""
+    if flavour not in ABCAST_FLAVOURS:
+        raise ValueError(
+            f"unknown abcast flavour {flavour!r}; "
+            f"expected one of {', '.join(ABCAST_FLAVOURS)}"
+        )
+    return flavour
+
 
 class SequencerAtomicBroadcast:
     """Fixed-sequencer ABCAST endpoint.

@@ -29,7 +29,11 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from ..failures import FailureDetector
 from ..net import Node
 from ..sim import TraceLog
-from .abcast import ConsensusAtomicBroadcast, SequencerAtomicBroadcast
+from .abcast import (
+    ConsensusAtomicBroadcast,
+    SequencerAtomicBroadcast,
+    check_abcast_flavour,
+)
 from .channels import ReliableTransport
 from .rbcast import ReliableBroadcast
 
@@ -81,7 +85,7 @@ class OptimisticAtomicBroadcast:
             node, transport, group, self._on_tentative,
             channel=f"{channel_prefix}.tent",
         )
-        if flavour == "sequencer":
+        if check_abcast_flavour(flavour) == "sequencer":
             self._ordered = SequencerAtomicBroadcast(
                 node, transport, group, self._on_final,
                 channel_prefix=f"{channel_prefix}.ord",

@@ -49,8 +49,11 @@ Programmatic use::
 Command line::
 
     python -m repro.lint [paths] [--format text|json|sarif] [--select/--ignore RULE]
-    python -m repro.lint [paths] --write-catalog docs/messages.md
-    python -m repro.lint [paths] --write-waitgraph docs/waitgraph.md
+
+The generated catalogs are written and freshness-checked by
+``python -m repro docs [--check]`` (``make docs`` / ``make docs-check``),
+which parses ``src/repro`` once and renders all of them from one
+context list.
 
 The package is self-contained (stdlib ``ast`` only) and sits outside the
 runtime layer DAG: nothing in ``repro``'s runtime imports it, and it

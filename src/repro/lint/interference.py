@@ -683,8 +683,8 @@ def _payload_mutations(info: FuncInfo, entry: Entry) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 INTERFERENCE_HEADER = (
-    "<!-- Generated by `python -m repro.lint --write-interference "
-    "docs/interference.md` (make interference). Do not edit by hand. -->"
+    "<!-- Generated by `python -m repro docs` (make docs). "
+    "Do not edit by hand. -->"
 )
 
 

@@ -800,8 +800,8 @@ def check_reply_correlation(contexts) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 CATALOG_HEADER = (
-    "<!-- Generated by `python -m repro.lint --write-catalog docs/messages.md` "
-    "(make catalog). Do not edit by hand. -->"
+    "<!-- Generated by `python -m repro docs` (make docs). "
+    "Do not edit by hand. -->"
 )
 
 

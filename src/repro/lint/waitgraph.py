@@ -984,8 +984,8 @@ def check_blocking_under_locks(contexts) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 WAITGRAPH_HEADER = (
-    "<!-- Generated by `python -m repro.lint --write-waitgraph "
-    "docs/waitgraph.md` (make waitgraph). Do not edit by hand. -->"
+    "<!-- Generated by `python -m repro docs` (make docs). "
+    "Do not edit by hand. -->"
 )
 
 

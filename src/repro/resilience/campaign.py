@@ -33,7 +33,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.operations import Operation, Result
+from ..core.operations import INDETERMINATE_REASONS, Operation, Result
 from ..core.protocols import REGISTRY
 from ..core.system import ReplicatedSystem
 from ..analysis import counter_check
@@ -54,10 +54,6 @@ __all__ = [
 # node names at schedule time (the clients don't exist when the campaign
 # literal is written).
 CLIENTS = "@clients"
-
-# Client-side outcomes whose server-side effect is unknown: the one
-# category the edge cannot classify, counted separately in the verdict.
-INDETERMINATE_REASONS = ("deadline exceeded", "retry budget exhausted")
 
 
 @dataclass(frozen=True)

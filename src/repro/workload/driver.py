@@ -12,7 +12,7 @@ from dataclasses import replace
 from typing import Callable, List, Optional
 
 from ..analysis.metrics import WorkloadSummary, summarize
-from ..core.operations import Result
+from ..core.operations import INDETERMINATE_REASONS, Result
 from ..core.system import ReplicatedSystem
 from .generator import WorkloadGenerator, WorkloadSpec
 
@@ -34,9 +34,12 @@ class ClosedLoopDriver:
     think_time:
         Pause between a response and the next submission.
     retry_aborts:
-        Re-submit aborted transactions (fresh request id) until they
-        commit, counting the extra attempts; how interactive database
-        clients behave under deadlock/certification aborts.
+        Re-submit definitively aborted transactions (fresh request id)
+        until they commit, counting the extra attempts; how interactive
+        database clients behave under deadlock/certification aborts.
+        Indeterminate outcomes (``INDETERMINATE_REASONS``) are final: the
+        first attempt may still commit, so a resubmission could apply the
+        transaction twice.
     """
 
     def __init__(
@@ -91,6 +94,7 @@ class ClosedLoopDriver:
             while (
                 self.retry_aborts
                 and not result.committed
+                and result.reason not in INDETERMINATE_REASONS
                 and attempts < self.max_retries
             ):
                 attempts += 1

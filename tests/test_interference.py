@@ -7,8 +7,8 @@ module holds the artifact to that claim in the directions the linter
 cannot check on its own:
 
 * **freshness** — the committed files equal what the pass regenerates
-  from today's sources (the test-suite mirror of ``make
-  interference-check``), byte for byte, and a second independent rebuild
+  from today's sources (the test-suite mirror of ``make docs-check``),
+  byte for byte, and a second independent rebuild
   produces identical bytes (determinism);
 * **coverage** — every registered technique appears with a
   ``client.request`` entry, and the per-class write sets span the whole
@@ -62,20 +62,20 @@ def _build():
 
 
 @pytest.fixture(scope="module")
-def artifact():
-    return _build()
+def artifact(generated_docs):
+    return json.loads(generated_docs["interference.json"])
 
 
 # ---------------------------------------------------------------------------
 # Freshness and determinism
 # ---------------------------------------------------------------------------
 
-def test_committed_catalog_is_fresh(artifact):
-    assert MARKDOWN.read_text() == render_interference_markdown(artifact), (
-        "docs/interference.md is stale — run `make interference`"
+def test_committed_catalog_is_fresh(generated_docs):
+    assert MARKDOWN.read_text() == generated_docs["interference.md"], (
+        "docs/interference.md is stale — run `make docs`"
     )
-    assert JSON_PATH.read_text() == render_interference_json(artifact), (
-        "docs/interference.json is stale — run `make interference`"
+    assert JSON_PATH.read_text() == generated_docs["interference.json"], (
+        "docs/interference.json is stale — run `make docs`"
     )
 
 
@@ -85,11 +85,12 @@ def test_generated_header_is_present():
     assert "Do not edit by hand" in INTERFERENCE_HEADER
 
 
-def test_rebuild_is_byte_deterministic(artifact):
+def test_rebuild_is_byte_deterministic(generated_docs):
+    # An independent re-parse and rebuild yields the shared build's bytes.
     again = _build()
     assert render_interference_markdown(again) == \
-        render_interference_markdown(artifact)
-    assert render_interference_json(again) == render_interference_json(artifact)
+        generated_docs["interference.md"]
+    assert render_interference_json(again) == generated_docs["interference.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -755,7 +755,17 @@ def test_cli_sarif_carries_same_findings_as_json(tmp_path, capsys):
     assert {r["ruleId"] for r in run["results"]} <= declared
 
 
-def test_cli_catalog_write_and_check(tmp_path, capsys):
+def test_cli_catalog_write_and_check(tmp_path):
+    # Writing and freshness-checking the catalog files is `repro docs`'s
+    # job (tests/test_docs.py); this pins the catalog's content on a
+    # fixture tree and that a source drift changes the rendered catalog.
+    from repro.lint.engine import collect_files, parse_file
+    from repro.lint.msgflow import (
+        build_catalog,
+        render_catalog_json,
+        render_catalog_markdown,
+    )
+
     source = {
         "src/repro/core/flow.py":
             "class Widget:\n"
@@ -768,32 +778,29 @@ def test_cli_catalog_write_and_check(tmp_path, capsys):
             "        print(message['item'])\n",
     }
     paths = tree(tmp_path, source)
-    markdown = tmp_path / "messages.md"
-    assert lint_main(paths + ["--write-catalog", str(markdown)]) == 0
-    capsys.readouterr()
-    sibling = tmp_path / "messages.json"
-    assert markdown.exists() and sibling.exists()
-    assert "flow.request" in markdown.read_text()
-    payload = json.loads(sibling.read_text())
+
+    def render():
+        contexts = [parse_file(path)[0] for path in collect_files(paths)]
+        catalog = build_catalog(contexts)
+        return render_catalog_markdown(catalog), render_catalog_json(catalog)
+
+    markdown, payload_text = render()
+    assert "flow.request" in markdown
+    payload = json.loads(payload_text)
     record = next(
         t for t in payload["types"] if t["type"] == "flow.request"
     )
     assert record["payload_keys"] == ["item"]
     assert record["required_reads"] == ["item"]
 
-    # Fresh catalog: check mode passes.
-    assert lint_main(paths + ["--check-catalog", str(markdown)]) == 0
-    capsys.readouterr()
-
-    # Source drifts: check mode fails and names the stale files.
+    # Source drifts: the regenerated catalog no longer matches.
     flow = tmp_path / "src" / "repro" / "core" / "flow.py"
     flow.write_text(
         flow.read_text().replace("item=1", "item=1, extra=2")
     )
-    assert lint_main(paths + ["--check-catalog", str(markdown)]) == 1
-    stderr = capsys.readouterr().err
-    assert "out of date" in stderr
-    assert "--write-catalog" in stderr
+    drifted_markdown, drifted_payload = render()
+    assert drifted_payload != payload_text
+    assert drifted_markdown != markdown
 
 
 # ---------------------------------------------------------------------------

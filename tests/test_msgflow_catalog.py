@@ -7,7 +7,7 @@ on its own:
 
 * **freshness** — the committed catalog files equal what the pass
   regenerates from today's sources (the test-suite mirror of
-  ``make catalog-check``);
+  ``make docs-check``);
 * **coverage** — a recording shim under ``Network.send`` captures every
   envelope a seeded workload produces, for all ten registered
   techniques, and each observed type (outer envelope, reliable-transport
@@ -16,19 +16,13 @@ on its own:
   show up here as an uncovered type.
 """
 
-import os
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import REGISTRY
-from repro.lint.engine import collect_files, parse_file
-from repro.lint.msgflow import (
-    build_catalog,
-    pattern_matches,
-    render_catalog_json,
-    render_catalog_markdown,
-)
+from repro.lint.msgflow import pattern_matches
 from repro.lint.symeval import WILDCARD
 from repro.net.network import Network
 from repro.workload import WorkloadSpec, run_workload
@@ -42,36 +36,26 @@ def _matches(rendered: str, concrete: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def catalog():
+def catalog(generated_docs):
     """The catalog rebuilt from sources, with repo-relative locations."""
-    cwd = os.getcwd()
-    os.chdir(REPO)
-    try:
-        contexts = []
-        for path in collect_files(["src/repro"]):
-            context, error = parse_file(path)
-            assert error is None, f"unparseable source: {error}"
-            contexts.append(context)
-        return build_catalog(contexts)
-    finally:
-        os.chdir(cwd)
+    return json.loads(generated_docs["messages.json"])
 
 
 # ---------------------------------------------------------------------------
 # Freshness: committed files == regenerated catalog
 # ---------------------------------------------------------------------------
 
-def test_committed_json_catalog_is_fresh(catalog):
+def test_committed_json_catalog_is_fresh(generated_docs):
     committed = (REPO / "docs" / "messages.json").read_text()
-    assert committed == render_catalog_json(catalog), (
-        "docs/messages.json is stale; run `make catalog`"
+    assert committed == generated_docs["messages.json"], (
+        "docs/messages.json is stale; run `make docs`"
     )
 
 
-def test_committed_markdown_catalog_is_fresh(catalog):
+def test_committed_markdown_catalog_is_fresh(generated_docs):
     committed = (REPO / "docs" / "messages.md").read_text()
-    assert committed == render_catalog_markdown(catalog), (
-        "docs/messages.md is stale; run `make catalog`"
+    assert committed == generated_docs["messages.md"], (
+        "docs/messages.md is stale; run `make docs`"
     )
 
 

@@ -9,7 +9,7 @@ Four layers of guarantees:
   the critical path never exceeds the response window, and the
   critical-path kinds tile it exactly.
 * **Catalog freshness** — the committed ``docs/phasecost.{md,json}``
-  match a fresh build (the test-suite twin of ``make phasecost-check``),
+  match a fresh build (the test-suite twin of ``make docs-check``),
   and the renderers are pure functions of the catalog.
 * **Satellites** — trace-ring overflow surfaces as a gauge in the
   metrics report (S1); error and chaos paths never leak open or
@@ -30,14 +30,11 @@ from repro.errors import ReplicationError, SimulationError
 from repro.net.node import _with_span_context
 from repro.obs import Observer, PHASES, SpanTracer, assert_no_open_spans
 from repro.profiling import (
-    build_catalog,
-    check_phasecost,
     profile_json,
     profile_run,
     render_catalog_json,
     render_catalog_markdown,
 )
-from repro.profiling.catalog import JSON_NAME, MD_NAME
 from repro.sim import Simulator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,9 +62,9 @@ def profile_pairs():
 
 
 @pytest.fixture(scope="module")
-def catalog():
-    """One catalog build at the pinned params, shared by the doc tests."""
-    return build_catalog()
+def catalog(generated_docs):
+    """The session's catalog build at the pinned params, as data."""
+    return json.loads(generated_docs["phasecost.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +149,11 @@ def test_profile_run_rejects_unknown_technique():
 # Catalog freshness and rendering
 # ---------------------------------------------------------------------------
 
-def test_phasecost_docs_are_fresh(catalog):
+def test_phasecost_docs_are_fresh(generated_docs):
     """The committed docs/phasecost.{md,json} match a fresh build."""
     docs = REPO / "docs"
-    assert (docs / MD_NAME).read_text() == render_catalog_markdown(catalog)
-    assert (docs / JSON_NAME).read_text() == render_catalog_json(catalog)
+    assert (docs / "phasecost.md").read_text() == generated_docs["phasecost.md"]
+    assert (docs / "phasecost.json").read_text() == generated_docs["phasecost.json"]
 
 
 def test_catalog_covers_every_technique(catalog):
@@ -165,28 +162,12 @@ def test_catalog_covers_every_technique(catalog):
         assert entry["matrix"]["requests"] > 0, name
 
 
-def test_catalog_renderers_are_pure(catalog):
+def test_catalog_renderers_are_pure(catalog, generated_docs):
     assert render_catalog_markdown(catalog) == render_catalog_markdown(catalog)
     first = render_catalog_json(catalog)
     assert first == render_catalog_json(catalog)
+    assert first == generated_docs["phasecost.json"]
     assert json.loads(first)["params"]["seed"] == catalog["params"]["seed"]
-
-
-def test_check_phasecost_reports_missing_and_stale(
-    catalog, tmp_path, monkeypatch
-):
-    import repro.profiling.catalog as catalog_module
-
-    monkeypatch.setattr(catalog_module, "build_catalog", lambda: catalog)
-    problems = check_phasecost(str(tmp_path))
-    assert len(problems) == 2
-    assert all("missing" in p for p in problems)
-    (tmp_path / MD_NAME).write_text(render_catalog_markdown(catalog))
-    (tmp_path / JSON_NAME).write_text("{}\n")
-    problems = check_phasecost(str(tmp_path))
-    assert len(problems) == 1 and "stale" in problems[0]
-    (tmp_path / JSON_NAME).write_text(render_catalog_json(catalog))
-    assert check_phasecost(str(tmp_path)) == []
 
 
 # ---------------------------------------------------------------------------

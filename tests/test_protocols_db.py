@@ -166,6 +166,28 @@ class TestEagerUELocking:
         assert system.converged()
 
 
+    def test_excluded_site_converges_through_catchup(self):
+        # r2 is cut off from t=10 to t=40.  A write submitted at t=39 is
+        # still coordinated while r2 is suspected, so its quorum excludes
+        # r2; the committed after-images reach r2 as a ueld.catchup after
+        # the heal instead of leaving it stale until the next write.
+        system = ReplicatedSystem("eager_ue_locking", replicas=3, clients=1,
+                                  seed=1)
+        system.injector.partition_at(10.0, ["r0", "r1", "c0"], ["r2"])
+        system.injector.heal_at(40.0)
+        submitted = {}
+        system.sim.schedule_at(39.0, lambda: submitted.setdefault(
+            "future", system.client(0).submit([Operation.write("x", "v")])
+        ))
+        system.sim.run(until=39.5)
+        result = system.sim.run_until_done(submitted["future"])
+        assert result.committed
+        system.settle(100)
+        assert system.net.stats.by_type["ueld.catchup"] >= 1
+        assert system.store_of("r2").read("x") == "v"
+        assert system.converged(), system.divergent_replicas()
+
+
 class TestEagerUEAbcast:
     def test_total_order_execution_converges(self):
         spec = WorkloadSpec(items=3, read_fraction=0.0, ops_per_transaction=2)

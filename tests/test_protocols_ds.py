@@ -4,6 +4,8 @@ import pytest
 
 from repro import AC, END, EX, RE, SC, Operation, ReplicatedSystem
 from repro.analysis import check_linearizable, history_from_results
+from repro.workload import ArrivalSpec, WorkloadGenerator, WorkloadSpec
+from repro.workload.openloop import OpenLoopEngine
 
 
 def drive_updates(system, n, gap=25.0, item="x", client=0, func="add", arg=1):
@@ -209,6 +211,26 @@ class TestSemiActive:
         live = system.live_replicas()
         digests = {system.store_of(n).values_digest() for n in live}
         assert len(digests) == 1
+
+    def test_view_change_during_leader_choice_does_not_wedge(self):
+        # Regression: the follower r1 crashes, and during the view change
+        # the leader's VSCAST of a choice is queued rather than delivered
+        # synchronously.  The leader used to read the undelivered choice,
+        # raise KeyError and kill its executor, and r2 then blocked
+        # forever on the next choice: 63 of 113 requests never resolved.
+        system = ReplicatedSystem("semi_active", replicas=3, clients=3, seed=11)
+        system.injector.crash_at(200.0, "r1")
+        spec = WorkloadSpec(items=12, read_fraction=0.3, ops_per_transaction=2,
+                            update_func="random_token")
+        engine = OpenLoopEngine(
+            system, WorkloadGenerator(spec, seed=11),
+            ArrivalSpec(rate=0.2, duration=600.0, clients=1000),
+        )
+        summary = engine.run(settle=300.0, max_events=400_000)
+        assert engine.submitted == 113
+        assert summary.requests == 113
+        assert all(not client._pending for client in system.clients)
+        assert system.converged(), system.divergent_replicas()
 
 
 class TestSemiPassive:

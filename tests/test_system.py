@@ -34,6 +34,24 @@ class TestBuilder:
             return (r0.committed, r1.committed, r0.latency, r1.latency)
         assert run() == run()
 
+    @pytest.mark.parametrize("protocol", ["active", "certification"])
+    def test_unknown_abcast_flavour_rejected(self, protocol):
+        # A misspelt flavour used to fall through to consensus silently.
+        with pytest.raises(ValueError, match="consensus, sequencer"):
+            ReplicatedSystem(protocol, config={"abcast": "sequncer"})
+
+    def test_optimistic_abcast_rejects_unknown_flavour(self):
+        from repro.groupcomm import OptimisticAtomicBroadcast
+
+        system = ReplicatedSystem("active", replicas=3)
+        replica = system.replicas["r0"]
+        with pytest.raises(ValueError, match="unknown abcast flavour"):
+            OptimisticAtomicBroadcast(
+                replica.node, replica.transport, system.replica_names,
+                replica.detector, lambda *a: None, lambda *a: None,
+                flavour="sequncer",
+            )
+
     def test_config_passed_to_protocols(self):
         system = ReplicatedSystem("lazy_primary", config={"propagation_delay": 77.0})
         assert system.protocol_at("r0").propagation_delay == 77.0

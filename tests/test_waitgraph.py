@@ -8,7 +8,7 @@ linter cannot check on its own:
 
 * **freshness** — the committed artifact files equal what the pass
   regenerates from today's sources (the test-suite mirror of
-  ``make waitgraph-check``), byte for byte, and a second independent
+  ``make docs-check``), byte for byte, and a second independent
   rebuild produces identical bytes (determinism);
 * **coverage** — seeded workloads of all ten registered techniques run
   with the observer attached; every *recorded* lock acquisition must
@@ -18,6 +18,7 @@ linter cannot check on its own:
   here as an uncovered acquisition or call.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -47,62 +48,58 @@ def _matches(rendered: str, concrete: str) -> bool:
     return pattern_matches(rendered.replace("*", WILDCARD), concrete)
 
 
-def _contexts():
-    contexts = []
-    for path in collect_files(["src/repro"]):
-        context, error = parse_file(path)
-        assert error is None, f"unparseable source: {error}"
-        contexts.append(context)
-    return contexts
-
-
 @pytest.fixture(scope="module")
-def graph_and_artifact():
-    """The wait graph and its artifact, with repo-relative locations."""
+def contexts():
+    """``src/repro`` parsed independently of the shared docs build."""
     cwd = os.getcwd()
     os.chdir(REPO)
     try:
-        contexts = _contexts()
-        return build_waitgraph(contexts), build_waitgraph_artifact(contexts)
+        parsed = []
+        for path in collect_files(["src/repro"]):
+            context, error = parse_file(path)
+            assert error is None, f"unparseable source: {error}"
+            parsed.append(context)
+        return parsed
     finally:
         os.chdir(cwd)
 
 
 @pytest.fixture(scope="module")
-def graph(graph_and_artifact):
-    return graph_and_artifact[0]
+def graph(contexts):
+    """The wait graph itself, with repo-relative locations."""
+    return build_waitgraph(contexts)
 
 
 @pytest.fixture(scope="module")
-def artifact(graph_and_artifact):
-    return graph_and_artifact[1]
+def artifact(generated_docs):
+    return json.loads(generated_docs["waitgraph.json"])
 
 
 # ---------------------------------------------------------------------------
 # Freshness and determinism: committed files == regenerated, byte for byte
 # ---------------------------------------------------------------------------
 
-def test_committed_json_waitgraph_is_fresh(artifact):
+def test_committed_json_waitgraph_is_fresh(generated_docs):
     committed = (REPO / "docs" / "waitgraph.json").read_text()
-    assert committed == render_waitgraph_json(artifact), (
-        "docs/waitgraph.json is stale; run `make waitgraph`"
+    assert committed == generated_docs["waitgraph.json"], (
+        "docs/waitgraph.json is stale; run `make docs`"
     )
 
 
-def test_committed_markdown_waitgraph_is_fresh(artifact):
+def test_committed_markdown_waitgraph_is_fresh(generated_docs):
     committed = (REPO / "docs" / "waitgraph.md").read_text()
-    assert committed == render_waitgraph_markdown(artifact), (
-        "docs/waitgraph.md is stale; run `make waitgraph`"
+    assert committed == generated_docs["waitgraph.md"], (
+        "docs/waitgraph.md is stale; run `make docs`"
     )
 
 
-def test_committed_dot_files_are_fresh(artifact):
+def test_committed_dot_files_are_fresh(artifact, generated_docs):
     names = [t["technique"] for t in artifact["techniques"]]
     assert names, "no techniques in the wait graph"
     for name in names:
         committed = (REPO / "docs" / "waitgraph" / f"{name}.dot").read_text()
-        assert committed == render_waitgraph_dot(artifact, name), (
-            f"docs/waitgraph/{name}.dot is stale; run `make waitgraph`"
+        assert committed == generated_docs[f"waitgraph/{name}.dot"], (
+            f"docs/waitgraph/{name}.dot is stale; run `make docs`"
         )
 
 
@@ -111,22 +108,17 @@ def test_waitgraph_is_generated_not_hand_written():
     assert "Generated by" in text and "Do not edit by hand" in text
 
 
-def test_regeneration_is_deterministic(artifact):
+def test_regeneration_is_deterministic(contexts, generated_docs):
     # A second rebuild from independently re-parsed sources must produce
     # the same bytes: the artifact may not depend on dict iteration
     # order, object identity, or anything else that varies across runs.
-    cwd = os.getcwd()
-    os.chdir(REPO)
-    try:
-        again = build_waitgraph_artifact(_contexts())
-    finally:
-        os.chdir(cwd)
-    assert render_waitgraph_json(again) == render_waitgraph_json(artifact)
-    assert render_waitgraph_markdown(again) == render_waitgraph_markdown(artifact)
-    for technique in artifact["techniques"]:
+    again = build_waitgraph_artifact(contexts)
+    assert render_waitgraph_json(again) == generated_docs["waitgraph.json"]
+    assert render_waitgraph_markdown(again) == generated_docs["waitgraph.md"]
+    for technique in again["techniques"]:
         name = technique["technique"]
-        assert render_waitgraph_dot(again, name) == render_waitgraph_dot(
-            artifact, name
+        assert render_waitgraph_dot(again, name) == (
+            generated_docs[f"waitgraph/{name}.dot"]
         )
 
 

@@ -1,6 +1,7 @@
 """Tests for workload generation and the closed-loop driver."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +183,28 @@ class TestDriver:
         # driver hides them by retrying.
         assert summary.abort_rate == 0.0
         assert driver.extra_attempts > 0
+
+    def test_retry_aborts_never_resubmits_indeterminate_outcomes(self):
+        # Regression: a "client gave up" outcome (the request may still
+        # commit) was resubmitted under a fresh request id, so one logical
+        # increment could be applied twice.  With a short client timeout
+        # and no client-level retries, active replication's consensus
+        # ABCAST outlives the client; a counter may never exceed the
+        # number of logical requests that touched its item.
+        spec = WorkloadSpec(items=3, read_fraction=0.0)
+        system, driver, summary = run_workload(
+            "active", spec=spec, clients=2, requests_per_client=10, seed=3,
+            retry_aborts=True,
+            system_kwargs={"client_timeout": 7.0, "max_client_retries": 0},
+        )
+        assert any(r.reason == "client gave up" for r in driver.results)
+        assert driver.extra_attempts == 0
+        touched = Counter(op.item for r in driver.results for op in r.operations)
+        assert sum(touched.values()) == 20
+        for name in system.live_replicas():
+            store = system.store_of(name)
+            for item, count in touched.items():
+                assert (store.read(item) or 0) <= count, (name, item)
 
     def test_retry_attempts_reach_summary(self):
         # Regression: ``extra_attempts`` was a bare counter that never fed
