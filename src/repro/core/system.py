@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from contextlib import nullcontext
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..db import TransactionManager
@@ -299,8 +298,9 @@ class ClientNode:
         observer = self.system.observer
         # Send inside the root span's context so the outgoing
         # client.request flights become its children.
-        with (observer.request_context(request.request_id)
-              if observer is not None else nullcontext()):
+        span = (observer.enter_request(request.request_id)
+                if observer is not None else None)
+        try:
             for target in targets:
                 # Deadlines ride the envelope, not the payload, so replicas
                 # can shed expired work without parsing the request.
@@ -309,6 +309,9 @@ class ClientNode:
                     payload={"request": request.as_wire()},
                     deadline=record.deadline,
                 )
+        finally:
+            if observer is not None:
+                observer.exit_request(span)
 
     def _on_timeout(self, request_id: str) -> None:
         record = self._pending.get(request_id)

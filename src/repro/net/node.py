@@ -146,8 +146,13 @@ class Node:
             # Bracket the handler in a span parented under the message's
             # flight span, so work it performs — phase records, further
             # sends — lands in the request's causal tree.
-            with obs.handler_context(self.name, message):
+            span = obs.enter_handler(self.name, message)
+            try:
                 self._dispatch_inner(message)
+            except BaseException as exc:
+                obs.exit_handler(span, exc)
+                raise
+            obs.exit_handler(span)
         else:
             self._dispatch_inner(message)
 

@@ -96,10 +96,6 @@ class Histogram:
         return f"<Histogram n={len(self.values)}>"
 
 
-def _key(name: str, label: Optional[str]) -> Tuple[str, str]:
-    return (name, label if label is not None else "")
-
-
 def _render(key: Tuple[str, str]) -> str:
     name, label = key
     return f"{name}{{{label}}}" if label else name
@@ -116,15 +112,31 @@ class MetricsRegistry:
         self.series_width = series_width
 
     # -- instrument access -------------------------------------------------
+    #
+    # Every access is one ``dict.get``; an instrument is built only on a
+    # miss, so instruments exist exactly from first use (snapshot keys
+    # never change) and a hit allocates nothing.
 
     def counter(self, name: str, label: Optional[str] = None) -> Counter:
-        return self._counters.setdefault(_key(name, label), Counter())
+        key = (name, "" if label is None else label)
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = Counter()
+        return counter
 
     def gauge(self, name: str, label: Optional[str] = None) -> Gauge:
-        return self._gauges.setdefault(_key(name, label), Gauge())
+        key = (name, "" if label is None else label)
+        gauge = self._gauges.get(key)
+        if gauge is None:
+            gauge = self._gauges[key] = Gauge()
+        return gauge
 
     def histogram(self, name: str, label: Optional[str] = None) -> Histogram:
-        return self._histograms.setdefault(_key(name, label), Histogram())
+        key = (name, "" if label is None else label)
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = self._histograms[key] = Histogram()
+        return histogram
 
     def series(self, name: str, label: Optional[str] = None) -> TimeSeries:
         """The windowed time series for ``(name, label)``.
@@ -133,29 +145,44 @@ class MetricsRegistry:
         buckets align — a throughput dent and a breaker state flip in
         the same bucket are the same moment of the run.
         """
-        key = _key(name, label)
+        key = (name, "" if label is None else label)
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = TimeSeries(self.series_width)
         return series
 
     # -- one-call helpers ----------------------------------------------------
+    #
+    # The helpers repeat the lookup rather than call the accessors: they
+    # run once per message, and the extra call is most of their cost.
 
     def inc(self, name: str, label: Optional[str] = None, amount: int = 1) -> None:
-        self.counter(name, label).inc(amount)
+        key = (name, "" if label is None else label)
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = Counter()
+        counter.value += amount
 
     def set(self, name: str, value: float, label: Optional[str] = None) -> None:
         self.gauge(name, label).set(value)
 
     def observe(self, name: str, value: float, label: Optional[str] = None) -> None:
-        self.histogram(name, label).observe(value)
+        key = (name, "" if label is None else label)
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = self._histograms[key] = Histogram()
+        histogram.values.append(value)
 
     def sample(
         self, name: str, time: float, value: float = 1.0,
         label: Optional[str] = None,
     ) -> None:
         """Record ``value`` at simulated ``time`` into a windowed series."""
-        self.series(name, label).observe(time, value)
+        key = (name, "" if label is None else label)
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = TimeSeries(self.series_width)
+        series.observe(time, value)
 
     def series_snapshot(self) -> Dict[str, TimeSeries]:
         """All series keyed by their rendered ``name{label}`` form."""

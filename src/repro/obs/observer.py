@@ -11,13 +11,14 @@ observability layer and the system it watches.
 Causality model (one root per client request):
 
 * ``on_request_submit`` opens the root span; the client pushes it while
-  dispatching, so the outgoing ``client.request`` messages are children.
+  dispatching (``enter_request`` / ``exit_request``), so the outgoing
+  ``client.request`` messages are children.
 * ``on_message_send`` opens a flight span under the current context and
   stamps its id onto the envelope; ``on_message_deliver`` /
   ``on_message_drop`` close it.
-* ``handler_context`` brackets a receiving node's handler with a span
-  parented under the flight span — re-entering the request's causal tree
-  on the other side of the wire.
+* ``enter_handler`` / ``exit_handler`` bracket a receiving node's
+  handler with a span parented under the flight span — re-entering the
+  request's causal tree on the other side of the wire.
 * ``on_phase`` turns the five-phase records into phase spans: each phase
   of a (source, request) pair ends when the next one starts.
 * lock hooks wrap 2PL waits; the trace-log bridge converts group
@@ -27,8 +28,7 @@ Causality model (one root per client request):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .spans import Span, SpanTracer
@@ -79,6 +79,7 @@ class Observer:
         self._trace_log: Any = None
         self._sampled_sim: Any = None
         self._finalized = False
+        self._span_names = _SpanNames()
 
     # -- client request lifecycle (called from repro.core) -----------------
 
@@ -113,11 +114,20 @@ class Observer:
         else:
             self.metrics.sample("ts.aborts", now)
 
-    @contextmanager
-    def request_context(self, request_id: str) -> Iterator[Optional[Span]]:
-        """Causal context of a request's root span (client-side dispatch)."""
-        with self.tracer.context(self._open_requests.get(str(request_id))) as span:
-            yield span
+    def enter_request(self, request_id: str) -> Optional[Span]:
+        """Push a request's root span for client-side dispatch.
+
+        Pair with :meth:`exit_request` (in a ``finally``) so an
+        unknown-destination raise still unwinds the context stack.
+        """
+        span = self._open_requests.get(str(request_id))
+        if span is not None:
+            self.tracer.push(span)
+        return span
+
+    def exit_request(self, span: Optional[Span]) -> None:
+        if span is not None:
+            self.tracer.pop()
 
     # -- network (called from repro.net, duck-typed) -----------------------
 
@@ -132,34 +142,36 @@ class Observer:
         every flight of a request even across untracked boundaries.
         """
         payload = message.payload
-        attrs = {"type": message.type, "src": message.src, "dst": message.dst,
+        mtype = message.type
+        src = message.src
+        metrics = self.metrics
+        tracer = self.tracer
+        attrs = {"type": mtype, "src": src, "dst": message.dst,
                  "msg_id": message.msg_id}
         inner = None
         if isinstance(payload, dict):
             inner = payload.get("inner_type")
             attrs["bytes"] = size = _approx_size(payload)
-            self.metrics.inc("messages.bytes", amount=size)
+            metrics.inc("messages.bytes", amount=size)
         if isinstance(inner, str):
             attrs["inner"] = inner
-        trace_id = None
-        if self.tracer.current is None:
-            trace_id = _payload_trace_hint(payload)
-        span = self.tracer.start(
-            f"msg:{message.type}", "message", message.src,
-            trace_id=trace_id, **attrs
-        )
+        span = tracer._open(self._span_names[mtype][0], "message", src,
+                            None, None, True, attrs)
+        if span.parent_id is None:
+            # Sent outside any context: recover the trace from the payload.
+            span.trace_id = _payload_trace_hint(payload) or ""
         message.span_id = span.span_id
-        self.metrics.inc("messages.sent")
-        self.metrics.inc("messages.sent.by_type", label=message.type)
-        self.metrics.sample("ts.messages", span.start)
+        metrics.inc("messages.sent")
+        metrics.inc("messages.sent.by_type", mtype)
+        metrics.sample("ts.messages", span.start)
         if isinstance(inner, str):
-            self.metrics.inc("messages.sent.by_inner_type", label=inner)
+            metrics.inc("messages.sent.by_inner_type", inner)
 
     def on_message_deliver(self, message: Any) -> None:
         span = self.tracer.get(message.span_id)
         if span is not None:
             self.tracer.finish(span, status="ok")
-            self.metrics.observe("message.flight_time", span.duration)
+            self.metrics.observe("message.flight_time", span.end - span.start)
         self.metrics.inc("messages.delivered")
 
     def on_message_drop(self, message: Any, cause: str) -> None:
@@ -168,19 +180,41 @@ class Observer:
             self.tracer.finish(span, status=f"dropped:{cause}")
         self.metrics.inc("messages.dropped", label=cause)
 
-    @contextmanager
-    def handler_context(self, node_name: str, message: Any) -> Iterator[Optional[Span]]:
-        """Bracket a handler invocation with a span under the flight span."""
-        flight = self.tracer.get(message.span_id)
+    def enter_handler(self, node_name: str, message: Any) -> Optional[Span]:
+        """Open and push a handler span under the message's flight span.
+
+        Returns ``None`` (and pushes nothing) for an untraced envelope.
+        The caller must hand the result to :meth:`exit_handler` whether
+        or not the handler raised.
+        """
+        tracer = self.tracer
+        flight = tracer.get(message.span_id)
         if flight is None:
-            yield None
+            return None
+        mtype = message.type
+        span = tracer._open(
+            self._span_names[mtype][1], "handle", node_name, flight.trace_id,
+            flight.span_id, True, {"type": mtype, "src": message.src},
+        )
+        tracer.push(span)
+        return span
+
+    def exit_handler(
+        self, span: Optional[Span], error: Optional[BaseException] = None
+    ) -> None:
+        """Pop and close a handler span from :meth:`enter_handler`.
+
+        An exception escaping the handler (a node crash, an
+        unknown-destination raise) still closes the span, tagged
+        ``error:<ExceptionType>`` instead of ``ok`` — error paths must
+        never leave a span open or mislabelled as clean.
+        """
+        if span is None:
             return
-        with self.tracer.span(
-            f"handle:{message.type}", "handle", node_name,
-            trace_id=flight.trace_id, parent_id=flight.span_id,
-            type=message.type, src=message.src,
-        ) as span:
-            yield span
+        self.tracer.pop()
+        self.tracer.finish(
+            span, None if error is None else f"error:{type(error).__name__}"
+        )
 
     # -- phases (called from repro.core.phases) ------------------------------
 
@@ -189,27 +223,31 @@ class Observer:
     ) -> Span:
         """Open a phase span; the previous phase of (source, request) ends."""
         key = (source, request_id)
+        metrics = self.metrics
         previous = self._open_phases.pop(key, None)
         if previous is not None:
             self.tracer.finish(previous)
-            self.metrics.observe("phase.latency", previous.duration,
-                                 label=previous.name)
-            self.metrics.sample("ts.phase_time", previous.end,
-                                previous.duration, label=previous.name)
-        span = self.tracer.start(
-            phase, "phase", source, trace_id=str(request_id),
-            request=str(request_id), mechanism=mechanism,
+            duration = previous.end - previous.start
+            metrics.observe("phase.latency", duration, previous.name)
+            metrics.sample("ts.phase_time", previous.end, duration,
+                           previous.name)
+        trace_id = str(request_id)
+        span = self.tracer._open(
+            phase, "phase", source, trace_id, None, True,
+            {"request": trace_id, "mechanism": mechanism},
         )
         self._open_phases[key] = span
-        self.metrics.inc("phases.entered", label=phase)
-        completed = self._completed_at.get(str(request_id))
-        if phase == "AC" and completed is not None:
-            # A replica applying after the client already got its answer:
-            # lazy propagation.  The gap is the staleness window this
-            # update was invisible for — replication lag, as a series.
-            self.metrics.sample(
-                "ts.replication_lag", span.start, span.start - completed
-            )
+        metrics.inc("phases.entered", phase)
+        if phase == "AC":
+            completed = self._completed_at.get(trace_id)
+            if completed is not None:
+                # A replica applying after the client already got its
+                # answer: lazy propagation.  The gap is the staleness
+                # window this update was invisible for — replication
+                # lag, as a series.
+                metrics.sample(
+                    "ts.replication_lag", span.start, span.start - completed
+                )
         return span
 
     # -- locks (called from repro.db.locks, duck-typed) ----------------------
@@ -396,6 +434,16 @@ class Observer:
         return f"<Observer {self.tracer!r} {self.metrics!r}>"
 
 
+class _SpanNames(Dict[str, Tuple[str, str]]):
+    """Message type -> (flight span name, handler span name), built once."""
+
+    def __missing__(self, message_type: str) -> Tuple[str, str]:
+        names = self[message_type] = (
+            f"msg:{message_type}", f"handle:{message_type}"
+        )
+        return names
+
+
 def _txn_trace(txn: object) -> str:
     """Transaction ids double as trace ids when protocols reuse request ids."""
     return str(txn)
@@ -408,21 +456,40 @@ def _approx_size(value: Any) -> int:
     numbers a fixed word, containers recurse with small framing.  Unknown
     objects count a flat 16 — never ``str()`` them, the default repr
     embeds ``id()`` and would vary run to run.
+
+    Runs once per observed send, so ``str``, ``int`` and ``float`` are
+    matched by exact class first and a dict sizes its scalar entries
+    inline; every other type — ``bool``, ``None``, ``bytes``, sequences,
+    subclasses — takes the ``isinstance`` rules.
     """
+    cls = type(value)
+    if cls is str:
+        return len(value)
+    if cls is int or cls is float:
+        return 8
+    if isinstance(value, dict):
+        size = 2
+        for key, item in value.items():
+            size += (len(key) if type(key) is str else _approx_size(key)) + 2
+            cls = type(item)
+            if cls is str:
+                size += len(item)
+            elif cls is int or cls is float:
+                size += 8
+            else:
+                size += _approx_size(item)
+        return size
     if isinstance(value, bool) or value is None:
         return 1
     if isinstance(value, (int, float)):
         return 8
-    if isinstance(value, str):
+    if isinstance(value, (str, bytes)):
         return len(value)
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, dict):
-        return 2 + sum(
-            _approx_size(k) + _approx_size(v) + 2 for k, v in value.items()
-        )
     if isinstance(value, (list, tuple, set, frozenset)):
-        return 2 + sum(_approx_size(item) for item in value)
+        size = 2
+        for item in value:
+            size += _approx_size(item)
+        return size
     return 16
 
 
@@ -449,9 +516,11 @@ def _payload_trace_hint(payload: Any, depth: int = 5) -> Optional[str]:
         if isinstance(txn, str) and txn:
             return txn.split("@", 1)[0]
     for key in ("request", "body", "updates"):
-        hint = _payload_trace_hint(payload.get(key), depth - 1)
-        if hint is not None:
-            return hint
+        inner = payload.get(key)
+        if isinstance(inner, dict):
+            hint = _payload_trace_hint(inner, depth - 1)
+            if hint is not None:
+                return hint
     entries = payload.get("entries")
     if isinstance(entries, list) and entries:
         # A propagation batch: attribute the flight to the first shipped

@@ -28,9 +28,8 @@ under it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["Span", "SpanTracer", "SPAN", "INSTANT"]
 
@@ -38,14 +37,15 @@ SPAN = "span"
 INSTANT = "instant"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, causally linked unit of work.
 
     Attributes
     ----------
     span_id:
-        Tracer-local identifier, allocated in creation order.
+        Tracer-local identifier, allocated in creation order from 1, so
+        it doubles as the span's position in :attr:`SpanTracer.spans`.
     parent_id:
         Span this one is causally nested under (``None`` for roots).
     trace_id:
@@ -101,19 +101,21 @@ class SpanTracer:
     dispatch caused directly.  Work it *scheduled* (timers, processes)
     runs later with an empty context and must be linked explicitly via
     ``parent_id`` if causality matters.
+
+    ``spans`` is append-only and ids are dense from 1, so span ``i`` is
+    ``spans[i - 1]`` — the list is its own id index.
     """
 
     def __init__(self, clock: Any = None) -> None:
-        self._clock = clock
+        self._clock = clock if clock is not None else _StoppedClock()
         self._next_id = 1
         self.spans: List[Span] = []
-        self._by_id: Dict[int, Span] = {}
         self._stack: List[Span] = []
         self._finalized = False
 
     @property
     def now(self) -> float:
-        return self._clock.now if self._clock is not None else 0.0
+        return self._clock.now
 
     # -- recording ---------------------------------------------------------
 
@@ -128,30 +130,45 @@ class SpanTracer:
         **attrs: Any,
     ) -> Span:
         """Open a span; parent and trace default from the context stack."""
-        parent = self._by_id.get(parent_id) if parent_id is not None else None
-        if parent is None and use_context and self._stack:
+        return self._open(name, category, source, trace_id, parent_id,
+                          use_context, attrs)
+
+    def _open(
+        self,
+        name: str,
+        category: str,
+        source: str,
+        trace_id: Optional[str],
+        parent_id: Optional[int],
+        use_context: bool,
+        attrs: Dict[str, Any],
+    ) -> Span:
+        """:meth:`start` over an already-built ``attrs`` dict (hot path)."""
+        spans = self.spans
+        parent = None
+        if parent_id is not None and 0 < parent_id <= len(spans):
+            parent = spans[parent_id - 1]
+        elif use_context and self._stack:
             parent = self._stack[-1]
-        if trace_id is None:
-            trace_id = parent.trace_id if parent is not None else ""
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            trace_id=trace_id,
-            name=name,
-            category=category,
-            source=source,
-            start=self.now,
-            attrs=attrs,
-        )
-        self._next_id += 1
-        self.spans.append(span)
-        self._by_id[span.span_id] = span
+        if parent is not None:
+            if trace_id is None:
+                trace_id = parent.trace_id
+            parent_id = parent.span_id
+        else:
+            if trace_id is None:
+                trace_id = ""
+            parent_id = None
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        span = Span(span_id, parent_id, trace_id, name, category, source,
+                    self._clock.now, None, SPAN, "ok", attrs)
+        spans.append(span)
         return span
 
     def finish(self, span: Span, status: Optional[str] = None, **attrs: Any) -> None:
         """Close a span at the current simulated time (idempotent)."""
         if span.end is None:
-            span.end = self.now
+            span.end = self._clock.now
         if status is not None:
             span.status = status
         if attrs:
@@ -167,9 +184,7 @@ class SpanTracer:
         **attrs: Any,
     ) -> Span:
         """Record a point event (start == end)."""
-        span = self.start(
-            name, category, source, trace_id=trace_id, parent_id=parent_id, **attrs
-        )
+        span = self._open(name, category, source, trace_id, parent_id, True, attrs)
         span.end = span.start
         span.kind = INSTANT
         return span
@@ -186,44 +201,13 @@ class SpanTracer:
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
 
-    @contextmanager
-    def context(self, span: Optional[Span]) -> Iterator[Optional[Span]]:
-        """Make ``span`` the causal parent for the enclosed block."""
-        if span is None:
-            yield None
-            return
-        self.push(span)
-        try:
-            yield span
-        finally:
-            self.pop()
-
-    @contextmanager
-    def span(
-        self, name: str, category: str, source: str, **kwargs: Any
-    ) -> Iterator[Span]:
-        """Start a span, make it current, finish it on exit.
-
-        An exception escaping the block (a handler interrupted by a node
-        crash, an unknown-destination raise) still closes the span, but
-        tagged ``error:<ExceptionType>`` instead of ``ok`` — error paths
-        must never leave a span open or mislabelled as clean.
-        """
-        span = self.start(name, category, source, **kwargs)
-        self.push(span)
-        try:
-            yield span
-        except BaseException as exc:
-            self.pop()
-            self.finish(span, status=f"error:{type(exc).__name__}")
-            raise
-        self.pop()
-        self.finish(span)
-
     # -- queries ------------------------------------------------------------
 
     def get(self, span_id: Optional[int]) -> Optional[Span]:
-        return self._by_id.get(span_id) if span_id is not None else None
+        spans = self.spans
+        if span_id is None or not 0 < span_id <= len(spans):
+            return None
+        return spans[span_id - 1]
 
     def for_trace(self, trace_id: str) -> List[Span]:
         """Spans of one request, in (start time, creation) order."""
@@ -271,3 +255,10 @@ class SpanTracer:
     def __repr__(self) -> str:
         open_count = sum(1 for s in self.spans if s.end is None)
         return f"<SpanTracer spans={len(self.spans)} open={open_count}>"
+
+
+class _StoppedClock:
+    """Clock of a tracer built without one: time stands still at 0.0."""
+
+    __slots__ = ()
+    now = 0.0

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "TraceLog"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One timestamped record.
 
@@ -62,31 +62,36 @@ class TraceLog:
         self._sim = sim
         self.max_events = max_events
         self._events: Deque[TraceEvent] = deque(maxlen=max_events)
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
+        # Copy-on-write: ``subscribe`` and the error path replace the
+        # tuple, so ``record`` iterates it without copying and a change
+        # made mid-event takes effect from the next event.
+        self._subscribers: Tuple[Callable[[TraceEvent], None], ...] = ()
         self.dropped_events = 0
         self.subscriber_errors: List[Exception] = []
 
     def record(self, category: str, source: str, **data: Any) -> TraceEvent:
         """Append an event stamped with the current simulated time."""
         time = self._sim.now if self._sim is not None else 0.0
-        event = TraceEvent(time=time, category=category, source=source, data=data)
+        event = TraceEvent(time, category, source, data)
         if self.max_events is not None and len(self._events) == self.max_events:
             self.dropped_events += 1
         self._events.append(event)
-        for subscriber in list(self._subscribers):
+        for subscriber in self._subscribers:
             try:
                 subscriber(event)
             except Exception as exc:  # noqa: BLE001 - subscriber isolation
                 self.subscriber_errors.append(exc)
+                remaining = list(self._subscribers)
                 try:
-                    self._subscribers.remove(subscriber)
+                    remaining.remove(subscriber)
                 except ValueError:
                     pass
+                self._subscribers = tuple(remaining)
         return event
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Invoke ``callback`` for every subsequently recorded event."""
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
 
     # -- queries -----------------------------------------------------------
 

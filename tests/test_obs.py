@@ -1,6 +1,6 @@
 """Tests for the observability layer (repro.obs).
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **Unit** — span tracer causality, metrics registry snapshots, the
   exporters' shapes.
@@ -11,28 +11,43 @@ Three layers of guarantees:
   the technique's declared phase sequence; and every message span's type
   is covered by the generated protocol catalog (docs/messages.json), so
   the dynamic span world and the static message-flow world agree.
+* **Regression, pinned** — two small observed open-loop runs export
+  exactly the bytes pinned by digest, and the wire-size estimate matches
+  its plain recursive reference rules.
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import REGISTRY, Operation, ReplicatedSystem
+from repro.core import AdmissionConfig
 from repro.lint.engine import collect_files, parse_file
 from repro.lint.msgflow import build_catalog, pattern_matches
 from repro.lint.symeval import WILDCARD
+from repro.net.network import _SharedPayload
 from repro.obs import (
     MetricsRegistry,
     Observer,
     SpanTracer,
     abort_reason_label,
     chrome_trace,
+    counter_trace,
     spans_jsonl,
     write_artifacts,
 )
-from repro.workload import WorkloadSpec, run_workload
+from repro.obs.observer import _approx_size
+from repro.workload import (
+    ArrivalSpec,
+    OpenLoopEngine,
+    WorkloadGenerator,
+    WorkloadSpec,
+    run_workload,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -136,8 +151,9 @@ class TestSpanTracer:
         tracer = SpanTracer(FakeClock())
         root = tracer.start("root", "request", "c0", trace_id="req-1",
                             use_context=False)
-        with tracer.context(root):
-            child = tracer.start("child", "message", "c0")
+        tracer.push(root)
+        child = tracer.start("child", "message", "c0")
+        tracer.pop()
         assert child.parent_id == root.span_id
         assert child.trace_id == "req-1"
         # Outside the context: no parent inherited.
@@ -148,8 +164,9 @@ class TestSpanTracer:
         tracer = SpanTracer(FakeClock())
         a = tracer.start("a", "cat", "n", trace_id="t1", use_context=False)
         b = tracer.start("b", "cat", "n", trace_id="t2", use_context=False)
-        with tracer.context(a):
-            child = tracer.start("c", "cat", "n", parent_id=b.span_id)
+        tracer.push(a)
+        child = tracer.start("c", "cat", "n", parent_id=b.span_id)
+        tracer.pop()
         assert child.parent_id == b.span_id
         assert child.trace_id == "t2"
 
@@ -168,6 +185,24 @@ class TestSpanTracer:
         tracer = SpanTracer(FakeClock())
         span = tracer.instant("tick", "gc", "r0")
         assert span.kind == "instant" and span.start == span.end
+
+    def test_ids_index_the_span_list(self):
+        tracer = SpanTracer(FakeClock())
+        spans = [tracer.start(name, "cat", "n") for name in "abc"]
+        assert [tracer.get(s.span_id) for s in spans] == spans
+        for missing in (None, 0, -1, 4):
+            assert tracer.get(missing) is None
+        # An unknown explicit parent falls back to the context stack.
+        tracer.push(spans[0])
+        child = tracer.start("d", "cat", "n", parent_id=99)
+        tracer.pop()
+        assert child.parent_id == spans[0].span_id
+
+    def test_tracer_without_clock_stamps_zero(self):
+        tracer = SpanTracer()
+        span = tracer.start("a", "cat", "n")
+        tracer.finish(span)
+        assert (span.start, span.end, tracer.now) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +348,157 @@ def test_same_seed_exports_are_byte_identical(technique, runs):
     assert jsonl_a == jsonl_b, f"{technique}: span JSONL differs across runs"
     assert report_a == report_b, f"{technique}: metrics report differs across runs"
     assert len(system_a.observer.tracer.spans) > 0
+
+
+# Two small observed open-loop runs whose exports are pinned by digest:
+# the lazy primary behind admission control under bursts, and active
+# replication over consensus ABCAST with one replica crashed and
+# recovered.  The digests were taken from the exporters as they stood
+# before the observation hot path was rewritten, so any change in what
+# gets exported — not only run-to-run drift — fails here.
+GOLDEN_RUNS = {
+    "lazy_primary_burst": dict(
+        technique="lazy_primary",
+        spec=WorkloadSpec(items=50, read_fraction=0.7),
+        arrival=ArrivalSpec(process="burst", rate=0.3, burst_rate=2.0,
+                            burst_every=100.0, burst_length=20.0,
+                            duration=300.0, clients=2_000),
+        admission=AdmissionConfig(rate=0.5, burst=4.0, queue_capacity=8),
+    ),
+    "active_consensus_crash": dict(
+        technique="active",
+        spec=WorkloadSpec(items=20, read_fraction=0.2),
+        arrival=ArrivalSpec(rate=0.2, duration=300.0, clients=2_000),
+        config={"abcast": "consensus"},
+        outage=("r1", 100.0, 180.0),
+    ),
+}
+
+GOLDEN_DIGESTS = {
+    "lazy_primary_burst": {
+        "chrome": "ea421b5a8c1d02a9afdf129ee38756a2a1498346b5c4c8aafb5641fcd71f08cf",
+        "jsonl": "9e78471b8d4516a34b8c506aac764862471940f3d7471ba23a11a2a71177abb0",
+        "report": "578ae13f30aa193d913adeda70ba33c1b1dfcad5de8bc0233637379bdb43118f",
+        "counters": "3a17ad1d3c0c4d53a72a3731765d241d363872f28decbcd439cdd93095bcea1d",
+    },
+    "active_consensus_crash": {
+        "chrome": "de2f356d981017635fa963f4d0d5d69274172f6d79dbd242daa846f2d4d0dd2e",
+        "jsonl": "80db1ff3ff640719e78e99c8a1cd19d709f68902b14c5b97abe2f9c8c1bcd745",
+        "report": "87be288d8a85043f89749b0f2f9beb8f84ed3fca5ddde38e89610b459bf8fb15",
+        "counters": "c546f89ff519f088d6d4053cb49fc3d55b644e7c4963100b8058c80eaa4d3dc6",
+    },
+}
+
+
+def _golden_run(technique, spec, arrival, config=None, admission=None,
+                outage=None):
+    system = ReplicatedSystem(technique, replicas=3, clients=2, seed=5,
+                              config=config, observe=True, admission=admission)
+    if outage is not None:
+        replica, down, up = outage
+        system.injector.crash_at(down, replica)
+        system.injector.recover_at(up, replica)
+    generator = WorkloadGenerator(spec, seed=5)
+    OpenLoopEngine(system, generator, arrival).run(settle=100.0)
+    system.observer.finalize()
+    return system
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_observed_exports_match_pinned_digests(name):
+    run = GOLDEN_RUNS[name]
+    system = _golden_run(**run)
+    observer = system.observer
+    counters = observer.metrics.snapshot()["counters"]
+    # The scenario exercises what it is named for.
+    if run.get("admission") is not None:
+        assert system.admission.snapshot()["shed"] > 0
+    if run.get("outage") is not None:
+        assert counters["nodes.crashed"] == 1
+    order = system.replica_names + [c.name for c in system.clients]
+    exports = {
+        "chrome": chrome_trace(observer.tracer.spans, node_order=order),
+        "jsonl": spans_jsonl(observer.tracer.spans),
+        "report": observer.metrics.report(title=run["technique"]),
+        "counters": counter_trace(observer.metrics.series_snapshot(),
+                                  process_name=run["technique"]),
+    }
+    digests = {
+        kind: hashlib.sha256(text.encode()).hexdigest()
+        for kind, text in exports.items()
+    }
+    assert digests == GOLDEN_DIGESTS[name]
+
+
+def _reference_size(value):
+    """The plain recursive wire-size rules ``_approx_size`` must match."""
+    if isinstance(value, bool) or value is None:
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return len(value)
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, dict):
+        return 2 + sum(
+            _reference_size(k) + _reference_size(v) + 2 for k, v in value.items()
+        )
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 2 + sum(_reference_size(item) for item in value)
+    return 16
+
+
+class _LabelDict(dict):
+    pass
+
+
+class _Opaque:
+    pass
+
+
+SIZING_CORPUS = [
+    True, False, None, 0, -7, 2**100, 3.5, float("inf"), "", "abc",
+    b"", b"\x00\x01\x02", _Opaque(),
+    {}, {"a": 1}, {True: None, 1.5: b"xy", None: "z", 3: (1, 2)},
+    [1, "two", [3.0, [None, True]]], (), ("a", ("b", ("c",))),
+    {1, 2, 3}, frozenset({"x", "yy"}),
+    {"request": {"request_id": "c0:1",
+                 "operations": [["w", "x", 1, None], ["r", "y", None, None]]}},
+    _SharedPayload({"body": {"entries": [{"txn": "t1"}]}, "seq": 4}),
+    _LabelDict(a=[1, {"b": _Opaque()}]),
+    {"nested": _LabelDict(k=frozenset({(1, "a")})), "flag": True},
+]
+
+
+@pytest.mark.parametrize("value", SIZING_CORPUS,
+                         ids=lambda v: type(v).__name__)
+def test_approx_size_matches_reference(value):
+    assert _approx_size(value) == _reference_size(value)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8) | st.binary(max_size=8)
+            | st.builds(_Opaque))
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.frozensets(st.integers() | st.text(max_size=4), max_size=4)
+        | st.dictionaries(st.text(max_size=4) | st.integers(), inner,
+                          max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        .map(_SharedPayload)
+    ),
+    max_leaves=20,
+)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=200, deadline=None)
+def test_approx_size_matches_reference_on_nested_payloads(payload):
+    assert _approx_size(payload) == _reference_size(payload)
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro import REGISTRY, Operation, ReplicatedSystem
-from repro.errors import ReplicationError, SimulationError
+from repro.errors import NetworkError, ReplicationError, SimulationError
 from repro.net.node import _with_span_context
 from repro.obs import Observer, PHASES, SpanTracer, assert_no_open_spans
 from repro.profiling import (
@@ -260,14 +260,41 @@ class Clock:
         self.now = now
 
 
-def test_span_contextmanager_tags_errors():
-    tracer = SpanTracer(Clock())
-    with pytest.raises(ValueError):
-        with tracer.span("work", "handle", "n0", trace_id="r1") as span:
-            raise ValueError("boom")
-    assert span.end is not None
-    assert span.status == "error:ValueError"
+class HandlerBug(Exception):
+    pass
+
+
+def test_raising_handler_closes_its_span_as_error():
+    system = ReplicatedSystem("active", replicas=3, seed=11, observe=True)
+
+    def explode(_message):
+        raise HandlerBug("boom")
+
+    system.replicas["r1"].node.on("test.explode", explode)
+    system.net.send("r0", "r1", "test.explode", payload={"n": 1})
+    with pytest.raises(HandlerBug):
+        system.sim.run(until=system.sim.now + 10.0)
+    tracer = system.observer.tracer
+    flight = next(s for s in tracer.spans if s.name == "msg:test.explode")
+    handle = next(s for s in tracer.spans if s.name == "handle:test.explode")
+    assert flight.end is not None and flight.status == "ok"
+    assert handle.parent_id == flight.span_id
+    assert handle.end is not None and handle.status == "error:HandlerBug"
     assert tracer.current is None  # the context stack unwound
+
+
+def test_failed_client_send_unwinds_request_context(monkeypatch):
+    system = ReplicatedSystem("active", replicas=3, seed=11, observe=True)
+    client = system.client(0)
+    monkeypatch.setattr(client, "_targets", lambda record: ["nowhere"])
+    with pytest.raises(NetworkError, match="unknown destination"):
+        client.submit([Operation.write("x", 1)])
+    tracer = system.observer.tracer
+    assert tracer.current is None  # the request span was popped
+    request = next(s for s in tracer.spans if s.category == "request")
+    flight = next(s for s in tracer.spans if s.category == "message")
+    assert flight.parent_id == request.span_id
+    assert flight.status == "dropped:no-route"
 
 
 def test_assert_no_open_spans_raises_on_leak():
